@@ -14,6 +14,7 @@
 //! which it fetches from the pivot row's owner after the per-iteration
 //! barrier.
 
+use hyperion::policy::PredictorSpec;
 use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -208,7 +209,8 @@ pub fn run(config: HyperionConfig, params: &AspParams) -> RunOutcome<AspResult> 
                 // iteration `k`, and it widens the window between the
                 // overlapped fetch and its first use from one statement to
                 // a full column scan.
-                let early_issue = worker.transport().prefetch_hints;
+                let early_issue =
+                    matches!(worker.policies().predictor, PredictorSpec::Directory { .. });
                 let mut diks: Vec<i64> = Vec::new();
                 for k in 0..n {
                     let pivot_row = rows.row(k);

@@ -480,8 +480,7 @@ mod tests {
         let config = HyperionConfig::builder()
             .cluster(myrinet_200())
             .nodes(4)
-            .protocol(ProtocolKind::JavaPf)
-            .transport(hyperion::TransportConfig::directory())
+            .policies(PolicySpec::directory(ProtocolKind::JavaPf))
             .build()
             .unwrap();
         let out = run_with(config, &params, AccessMode::Element);

@@ -23,8 +23,8 @@
 //! lost time or traffic still fails.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hyperion::policy::MigrationSpec;
 use hyperion::prelude::*;
-use hyperion::TransportConfig;
 use hyperion_apps::common::BenchmarkName;
 use hyperion_bench::{
     run_point_configured, sweep_transport, transport_pair, Scale, TransportPair, ADAPTIVE_NODES,
@@ -34,45 +34,40 @@ fn bench_fig7(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7_transport");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
-    for (app, protocol, transport, label) in [
+    for (app, spec, label) in [
         (
             BenchmarkName::Jacobi,
-            ProtocolKind::JavaPf,
-            TransportConfig::blocking(),
+            PolicySpec::blocking(ProtocolKind::JavaPf),
             "blocking",
         ),
         (
             BenchmarkName::Jacobi,
-            ProtocolKind::JavaPf,
-            TransportConfig {
+            PolicySpec {
                 overlapped_fetches: true,
-                ..TransportConfig::default()
+                ..PolicySpec::for_protocol(ProtocolKind::JavaPf)
             },
             "overlapped",
         ),
         (
             BenchmarkName::Tsp,
-            ProtocolKind::JavaAd,
-            TransportConfig {
-                home_migration: true,
-                ..TransportConfig::default()
+            PolicySpec {
+                migration: MigrationSpec::MajorityVote { streak: 3 },
+                ..PolicySpec::for_protocol(ProtocolKind::JavaAd)
             },
             "migration",
         ),
     ] {
         group.bench_with_input(
             BenchmarkId::new(app.to_string(), label),
-            &(protocol, transport),
-            |b, (protocol, transport)| {
+            &spec,
+            |b, spec| {
                 b.iter(|| {
                     run_point_configured(
                         app,
                         Scale::Quick,
                         &myrinet_200(),
-                        *protocol,
                         ADAPTIVE_NODES,
-                        &AdaptiveParams::default(),
-                        transport,
+                        spec,
                         String::new(),
                     )
                     .seconds
@@ -219,17 +214,14 @@ fn verify_transport_invariants(_c: &mut Criterion) {
     // same ±few-page barrier-wake noise as everywhere else, so the bound
     // uses the fig6 pattern: strict round first, aggregate of three on a
     // miss.
-    let overlapped = TransportConfig::latency_hiding();
     for app in [BenchmarkName::Jacobi, BenchmarkName::Asp] {
         let run = |protocol| {
             run_point_configured(
                 app,
                 Scale::Quick,
                 &myrinet_200(),
-                protocol,
                 ADAPTIVE_NODES,
-                &AdaptiveParams::default(),
-                &overlapped,
+                &PolicySpec::latency_hiding(protocol),
                 String::new(),
             )
         };

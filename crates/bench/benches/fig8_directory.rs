@@ -22,7 +22,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperion::prelude::*;
-use hyperion::TransportConfig;
 use hyperion_apps::common::BenchmarkName;
 use hyperion_bench::{
     deferred_pair, directory_pair, run_point_configured, sweep_directory, DirectoryPair, Scale,
@@ -33,39 +32,30 @@ fn bench_fig8(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8_directory");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
-    for (app, transport, label) in [
+    let directory = PolicySpec::directory(ProtocolKind::JavaPf);
+    for (app, spec, label) in [
         (
             BenchmarkName::Asp,
-            TransportConfig {
+            PolicySpec {
                 overlapped_fetches: true,
-                ..TransportConfig::default()
+                ..PolicySpec::for_protocol(ProtocolKind::JavaPf)
             },
             "overlapped",
         ),
-        (
-            BenchmarkName::Asp,
-            TransportConfig::directory(),
-            "directory",
-        ),
-        (
-            BenchmarkName::Jacobi,
-            TransportConfig::directory(),
-            "directory",
-        ),
+        (BenchmarkName::Asp, directory.clone(), "directory"),
+        (BenchmarkName::Jacobi, directory, "directory"),
     ] {
         group.bench_with_input(
             BenchmarkId::new(app.to_string(), label),
-            &transport,
-            |b, transport| {
+            &spec,
+            |b, spec| {
                 b.iter(|| {
                     run_point_configured(
                         app,
                         Scale::Quick,
                         &myrinet_200(),
-                        ProtocolKind::JavaPf,
                         ADAPTIVE_NODES,
-                        &AdaptiveParams::default(),
-                        transport,
+                        spec,
                         String::new(),
                     )
                     .seconds

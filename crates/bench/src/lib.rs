@@ -35,6 +35,7 @@
 
 pub mod report;
 
+use hyperion::policy::{DetectionSpec, FlushSpec, MigrationSpec, ReplicationSpec, TopologySpec};
 use hyperion::prelude::*;
 use hyperion::{FaultSpec, StatsSnapshot, WireServiceSnapshot};
 use hyperion_apps::common::{protocols_under_test, Benchmark, BenchmarkName};
@@ -130,7 +131,7 @@ pub struct FigureRow {
     /// but run under different transport configurations: `""` for the
     /// default, otherwise `"+"` plus the name the relevant policy (or
     /// overlap mode) reports — `"+block"`/`"+ov"` from
-    /// [`TransportConfig::overlap_name`], `"+nomig"`/`"+mig"` from the
+    /// [`PolicySpec::overlap_name`], `"+nomig"`/`"+mig"` from the
     /// migration policy, `"+dir"` from the predictor, `"+sync"`/`"+dfl"`
     /// from the flush policy.
     pub variant: String,
@@ -230,34 +231,12 @@ pub fn run_point(
     protocol: ProtocolKind,
     nodes: usize,
 ) -> FigureRow {
-    run_point_with(
-        name,
-        scale,
-        cluster,
-        protocol,
-        nodes,
-        &AdaptiveParams::default(),
-    )
-}
-
-/// [`run_point`] with explicit adaptive-protocol parameters (ignored unless
-/// `protocol` is `java_ad`) — the entry point of the threshold ablation.
-pub fn run_point_with(
-    name: BenchmarkName,
-    scale: Scale,
-    cluster: &ClusterSpec,
-    protocol: ProtocolKind,
-    nodes: usize,
-    adaptive: &AdaptiveParams,
-) -> FigureRow {
     run_point_configured(
         name,
         scale,
         cluster,
-        protocol,
         nodes,
-        adaptive,
-        &TransportConfig::default(),
+        &PolicySpec::for_protocol(protocol),
         String::new(),
     )
 }
@@ -269,22 +248,26 @@ fn plus(name: &str) -> String {
     format!("+{name}")
 }
 
-/// The fully configurable run point: explicit adaptive parameters *and*
-/// transport configuration, labelled with a variant suffix — the entry
-/// point of the figure-7 transport comparison.
-#[allow(clippy::too_many_arguments)]
+/// The configurable run point: an explicit policy spec, labelled with a
+/// variant suffix — the entry point of the figure-7 transport comparison
+/// and the threshold ablation.
 pub fn run_point_configured(
     name: BenchmarkName,
     scale: Scale,
     cluster: &ClusterSpec,
-    protocol: ProtocolKind,
     nodes: usize,
-    adaptive: &AdaptiveParams,
-    transport: &TransportConfig,
+    spec: &PolicySpec,
     variant: String,
 ) -> FigureRow {
     run_figure_point(
-        name, scale, cluster, protocol, nodes, adaptive, transport, variant, false,
+        name,
+        scale,
+        cluster,
+        nodes,
+        spec,
+        &TransportConfig::default(),
+        variant,
+        false,
     )
 }
 
@@ -296,9 +279,8 @@ fn run_figure_point(
     name: BenchmarkName,
     scale: Scale,
     cluster: &ClusterSpec,
-    protocol: ProtocolKind,
     nodes: usize,
-    adaptive: &AdaptiveParams,
+    spec: &PolicySpec,
     transport: &TransportConfig,
     variant: String,
     unpaced: bool,
@@ -307,8 +289,7 @@ fn run_figure_point(
     let mut builder = HyperionConfig::builder()
         .cluster(cluster.clone())
         .nodes(nodes)
-        .protocol(protocol)
-        .adaptive(adaptive.clone())
+        .policies(spec.clone())
         .transport(transport.clone());
     if unpaced {
         builder = builder.pacing_window(None);
@@ -325,7 +306,7 @@ fn run_figure_point(
         figure: name.figure(),
         app: name,
         cluster: report.cluster_label.clone(),
-        protocol,
+        protocol: report.protocol,
         variant,
         nodes,
         seconds: report.seconds(),
@@ -427,65 +408,61 @@ pub fn sweep_transport(scale: Scale) -> Vec<TransportPair> {
 /// apps outside the transport comparison.
 pub fn transport_pair(app: BenchmarkName, scale: Scale) -> Option<TransportPair> {
     let cluster = myrinet_200();
-    let ad = AdaptiveParams::default();
+    let point = |spec: PolicySpec, variant: String, unpaced: bool| {
+        let mut row = run_figure_point(
+            app,
+            scale,
+            &cluster,
+            ADAPTIVE_NODES,
+            &spec,
+            &TransportConfig::default(),
+            variant,
+            unpaced,
+        );
+        row.figure = TRANSPORT_FIGURE;
+        row
+    };
     match app {
         BenchmarkName::Jacobi | BenchmarkName::Asp => {
             // Overlap is an engine mechanism; its label comes from the
-            // transport's overlap mode rather than a policy name.
-            let point = |transport: &TransportConfig| {
-                let mut row = run_figure_point(
-                    app,
-                    scale,
-                    &cluster,
-                    ProtocolKind::JavaPf,
-                    ADAPTIVE_NODES,
-                    &ad,
-                    transport,
-                    plus(transport.overlap_name()),
-                    true,
-                );
-                row.figure = TRANSPORT_FIGURE;
-                row
+            // spec's overlap mode rather than a policy name.
+            let overlap = |spec: PolicySpec| {
+                let variant = plus(spec.overlap_name());
+                point(spec, variant, true)
             };
             Some(TransportPair {
                 mechanism: "overlap",
-                baseline: point(&TransportConfig::blocking()),
-                enabled: point(&TransportConfig {
-                    overlapped_fetches: true,
-                    ..TransportConfig::default()
-                }),
+                baseline: overlap(PolicySpec::blocking(ProtocolKind::JavaPf)),
+                enabled: overlap(overlapped(ProtocolKind::JavaPf)),
             })
         }
         BenchmarkName::Tsp | BenchmarkName::Barnes => {
             let streak = if app == BenchmarkName::Tsp { 3 } else { 2 };
             // The label tracks what the selected migration policy calls
             // itself ("nomig" / "mig").
-            let point = |transport: &TransportConfig| {
-                let mut row = run_figure_point(
-                    app,
-                    scale,
-                    &cluster,
-                    ProtocolKind::JavaAd,
-                    ADAPTIVE_NODES,
-                    &ad,
-                    transport,
-                    plus(transport.migration_spec().name()),
-                    false,
-                );
-                row.figure = TRANSPORT_FIGURE;
-                row
+            let migration = |spec: PolicySpec| {
+                let variant = plus(spec.migration.name());
+                point(spec, variant, false)
             };
             Some(TransportPair {
                 mechanism: "migration",
-                baseline: point(&TransportConfig::default()),
-                enabled: point(&TransportConfig {
-                    home_migration: true,
-                    migration_streak: streak,
-                    ..TransportConfig::default()
+                baseline: migration(PolicySpec::for_protocol(ProtocolKind::JavaAd)),
+                enabled: migration(PolicySpec {
+                    migration: MigrationSpec::MajorityVote { streak },
+                    ..PolicySpec::for_protocol(ProtocolKind::JavaAd)
                 }),
             })
         }
         BenchmarkName::Pi | BenchmarkName::KvStore | BenchmarkName::PageRank => None,
+    }
+}
+
+/// The default selection for `kind` with overlapped fetches switched on —
+/// figure 7's enabled overlap side and figure 8's directory baseline.
+fn overlapped(kind: ProtocolKind) -> PolicySpec {
+    PolicySpec {
+        overlapped_fetches: true,
+        ..PolicySpec::for_protocol(kind)
     }
 }
 
@@ -515,7 +492,7 @@ pub struct DirectoryPair {
 /// unpaced (both divide work statically): the baseline is figure 7's
 /// overlapped transport, the enabled side adds the cluster-wide prefetch
 /// directory and deferred release flushing
-/// ([`hyperion::TransportConfig::directory`]) — hinted demand misses
+/// ([`PolicySpec::directory`]) — hinted demand misses
 /// complete already in-flight RPCs, ASP's pivot loop issues its fetch a
 /// statement-window early, and per-barrier release flushes complete at the
 /// next acquire instead of stalling the releaser.  *Deferred* pairs isolate
@@ -542,40 +519,34 @@ pub fn directory_pair(app: BenchmarkName, scale: Scale) -> Option<DirectoryPair>
         return None;
     }
     let cluster = myrinet_200();
-    let ad = AdaptiveParams::default();
     // The baseline is labelled by its overlap mode, the enabled side by
     // what the selected predictor calls itself ("dir").
-    let point = |transport: &TransportConfig, variant: String| {
+    let point = |spec: PolicySpec, variant: String| {
         let mut row = run_figure_point(
             app,
             scale,
             &cluster,
-            ProtocolKind::JavaPf,
             ADAPTIVE_NODES,
-            &ad,
-            transport,
+            &spec,
+            &TransportConfig::default(),
             variant,
             true,
         );
         row.figure = DIRECTORY_FIGURE;
         row
     };
-    let baseline_transport = TransportConfig {
-        overlapped_fetches: true,
-        ..TransportConfig::default()
-    };
-    let directory = TransportConfig::directory();
+    let baseline = overlapped(ProtocolKind::JavaPf);
+    let directory = PolicySpec::directory(ProtocolKind::JavaPf);
     Some(DirectoryPair {
         mechanism: "directory",
-        baseline: point(&baseline_transport, plus(baseline_transport.overlap_name())),
-        enabled: point(&directory, plus(directory.predictor_spec().name())),
+        baseline: point(baseline.clone(), plus(baseline.overlap_name())),
+        enabled: point(directory.clone(), plus(directory.predictor.name())),
     })
 }
 
 /// Build one figure-8 *deferred* pair for `app` (see [`sweep_directory`]).
 pub fn deferred_pair(app: BenchmarkName, scale: Scale) -> DirectoryPair {
     let cluster = myrinet_200();
-    let ad = AdaptiveParams::default();
     // The statically divided apps are compared unpaced (pacing only adds
     // host-scheduling noise); the dynamically scheduled ones keep pacing so
     // virtual time, not the host scheduler, divides their work.
@@ -585,16 +556,15 @@ pub fn deferred_pair(app: BenchmarkName, scale: Scale) -> DirectoryPair {
     );
     // The label tracks what the selected flush policy calls itself
     // ("sync" / "dfl").
-    let point = |transport: &TransportConfig| {
+    let point = |spec: PolicySpec| {
         let mut row = run_figure_point(
             app,
             scale,
             &cluster,
-            ProtocolKind::JavaPf,
             ADAPTIVE_NODES,
-            &ad,
-            transport,
-            plus(transport.flush_spec().name()),
+            &spec,
+            &TransportConfig::default(),
+            plus(spec.flush.name()),
             unpaced,
         );
         row.figure = DIRECTORY_FIGURE;
@@ -602,10 +572,10 @@ pub fn deferred_pair(app: BenchmarkName, scale: Scale) -> DirectoryPair {
     };
     DirectoryPair {
         mechanism: "deferred",
-        baseline: point(&TransportConfig::default()),
-        enabled: point(&TransportConfig {
-            deferred_flush: true,
-            ..TransportConfig::default()
+        baseline: point(PolicySpec::for_protocol(ProtocolKind::JavaPf)),
+        enabled: point(PolicySpec {
+            flush: FlushSpec::Deferred { max_pages: 8 },
+            ..PolicySpec::for_protocol(ProtocolKind::JavaPf)
         }),
     }
 }
@@ -668,8 +638,8 @@ pub fn sweep_serving(scale: Scale) -> Vec<FigureRow> {
     rows
 }
 
-/// One serving app under the prefetch-directory transport
-/// ([`hyperion::TransportConfig::directory`]) — the point the figure-9
+/// One serving app under the prefetch-directory mix
+/// ([`PolicySpec::directory`]) — the point the figure-9
 /// hint-waste gate inspects.  Zipf-skewed traffic is the adversarial input
 /// for a successor-pair predictor (hot keys recur, but in no stable order),
 /// so the cluster-wide hint-waste bound must hold here and not just on the
@@ -677,16 +647,15 @@ pub fn sweep_serving(scale: Scale) -> Vec<FigureRow> {
 /// divided directory points.
 pub fn serving_directory_point(name: BenchmarkName, scale: Scale) -> FigureRow {
     let cluster = myrinet_200();
-    let directory = TransportConfig::directory();
+    let directory = PolicySpec::directory(ProtocolKind::JavaPf);
     let mut row = run_figure_point(
         name,
         scale,
         &cluster,
-        ProtocolKind::JavaPf,
         ADAPTIVE_NODES,
-        &AdaptiveParams::default(),
         &directory,
-        plus(directory.predictor_spec().name()),
+        &TransportConfig::default(),
+        plus(directory.predictor.name()),
         true,
     );
     row.figure = SERVING_FIGURE;
@@ -695,7 +664,7 @@ pub fn serving_directory_point(name: BenchmarkName, scale: Scale) -> FigureRow {
 
 /// The figure number used for the scaling-curve report: node counts 4 → 64
 /// under the flat topology against the two-level home hierarchy
-/// (`TransportConfig::group_size`, `dsm::combine`).
+/// (`TopologySpec::Grouped`, `dsm::combine`).
 pub const SCALING_FIGURE: usize = 10;
 
 /// Node counts of the scaling sweep.  The paper's clusters stop at 12
@@ -754,17 +723,17 @@ pub fn sweep_scaling(scale: Scale) -> Vec<ScalingPair> {
         for nodes in SCALING_NODE_COUNTS {
             let cluster = scaled_cluster(&base, nodes);
             let group_size = scaling_group_size(nodes);
-            let grouped_transport = TransportConfig {
-                group_size,
-                ..TransportConfig::default()
+            let flat_spec = PolicySpec::for_protocol(ProtocolKind::JavaPf);
+            let grouped_spec = PolicySpec {
+                topology: TopologySpec::Grouped { group_size },
+                ..flat_spec.clone()
             };
             let mut flat = run_figure_point(
                 name,
                 scale,
                 &cluster,
-                ProtocolKind::JavaPf,
                 nodes,
-                &AdaptiveParams::default(),
+                &flat_spec,
                 &TransportConfig::default(),
                 String::new(),
                 true,
@@ -774,10 +743,9 @@ pub fn sweep_scaling(scale: Scale) -> Vec<ScalingPair> {
                 name,
                 scale,
                 &cluster,
-                ProtocolKind::JavaPf,
                 nodes,
-                &AdaptiveParams::default(),
-                &grouped_transport,
+                &grouped_spec,
+                &TransportConfig::default(),
                 plus(&format!("g{group_size}")),
                 true,
             );
@@ -820,9 +788,8 @@ pub fn sweep_modeled_vs_measured(scale: Scale, backend: TransportBackend) -> Vec
                 name,
                 scale,
                 &cluster,
-                protocol,
                 ADAPTIVE_NODES,
-                &AdaptiveParams::default(),
+                &PolicySpec::for_protocol(protocol),
                 &transport,
                 String::new(),
                 false,
@@ -878,30 +845,36 @@ pub fn sweep_chaos(scale: Scale, spec: FaultSpec, backend: TransportBackend) -> 
     let transport = TransportConfig {
         backend,
         fault: Some(spec),
-        replication: Some((2, 2)),
         ..TransportConfig::default()
     };
     let mut pairs = Vec::new();
     for name in BenchmarkName::all() {
         for protocol in protocols_under_test() {
-            let mut baseline = run_point_configured(
+            let plain = PolicySpec::for_protocol(protocol);
+            let quorum = PolicySpec {
+                replication: ReplicationSpec::Quorum {
+                    read_replicas: 2,
+                    write_quorum: 2,
+                },
+                ..plain.clone()
+            };
+            let mut baseline = run_figure_point(
                 name,
                 scale,
                 &cluster,
-                protocol,
                 ADAPTIVE_NODES,
-                &AdaptiveParams::default(),
+                &plain,
                 &reference,
                 String::new(),
+                false,
             );
             baseline.figure = CHAOS_FIGURE;
             let mut faulted = run_figure_point(
                 name,
                 scale,
                 &cluster,
-                protocol,
                 ADAPTIVE_NODES,
-                &AdaptiveParams::default(),
+                &quorum,
                 &transport,
                 plus("chaos"),
                 false,
@@ -930,14 +903,12 @@ pub fn threshold_ablation(
                 lo_multiple: hi / 2.0,
                 ..AdaptiveParams::default()
             };
-            let mut row = run_point_with(
-                app,
-                scale,
-                &cluster,
-                ProtocolKind::JavaAd,
-                ADAPTIVE_NODES,
-                &params,
-            );
+            let spec = PolicySpec {
+                detection: DetectionSpec::Adaptive(params),
+                ..PolicySpec::for_protocol(ProtocolKind::JavaAd)
+            };
+            let mut row =
+                run_point_configured(app, scale, &cluster, ADAPTIVE_NODES, &spec, String::new());
             row.figure = ADAPTIVE_FIGURE;
             (hi, row)
         })

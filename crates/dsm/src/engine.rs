@@ -43,10 +43,10 @@ use std::sync::Arc;
 use hyperion_model::{NodeStats, ThreadClock};
 use hyperion_pm2::{Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE};
 
-use crate::config::{AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig};
+use crate::config::{DeferredFlush, Locality, ProtocolKind, TransportConfig};
 use crate::diff::{decode_migration_grant, encode_diff, encode_diff_batch, DiffEntry, HintRun};
 use crate::page::PageFrame;
-use crate::policy::{resolve_marks, AccessAction, PolicySet, PolicySpec};
+use crate::policy::{AccessAction, PolicySet, PolicySpec};
 use crate::services::{DiffApplyService, PageFetchService};
 use crate::table::DsmStore;
 
@@ -55,11 +55,9 @@ pub struct DsmSystem {
     pub(crate) cluster: Arc<Cluster>,
     pub(crate) store: Arc<DsmStore>,
     pub(crate) kind: ProtocolKind,
-    /// The `(hi, lo)` marks the adaptive parameters resolve to on this
-    /// cluster's machine — reported by [`DsmSystem::adaptive_thresholds`]
-    /// for every protocol (tools and sweeps query them regardless of kind).
-    pub(crate) configured_marks: (u64, u64),
     pub(crate) policies: PolicySet,
+    /// Split-transaction fetch mode ([`PolicySpec::overlapped_fetches`]).
+    pub(crate) overlapped_fetches: bool,
     pub(crate) transport: TransportConfig,
     pub(crate) page_fetch: ServiceId,
     pub(crate) diff_apply: ServiceId,
@@ -68,56 +66,19 @@ pub struct DsmSystem {
 
 impl DsmSystem {
     /// Build a DSM system over an existing cluster and store, registering the
-    /// page-fetch and diff-apply services with the communication subsystem.
-    /// `java_ad` runs with the default [`AdaptiveParams`]; use
-    /// [`DsmSystem::with_params`] to tune it.
-    pub fn new(cluster: Arc<Cluster>, store: Arc<DsmStore>, kind: ProtocolKind) -> Arc<Self> {
-        Self::with_params(cluster, store, kind, &AdaptiveParams::default())
-    }
-
-    /// Build a DSM system with explicit adaptive-protocol parameters (they
-    /// are resolved against the cluster's machine model and ignored by
-    /// `java_ic` / `java_pf`) and the default transport.
-    pub fn with_params(
+    /// page-fetch, diff-apply and group-relay services with the
+    /// communication subsystem.  `spec` selects every policy (built into
+    /// the [`PolicySet`] the engine consults); `transport` supplies the
+    /// retry schedule and fault plan of the RPC path.
+    pub fn new(
         cluster: Arc<Cluster>,
         store: Arc<DsmStore>,
-        kind: ProtocolKind,
-        params: &AdaptiveParams,
-    ) -> Arc<Self> {
-        Self::with_config(cluster, store, kind, params, &TransportConfig::default())
-    }
-
-    /// Build a DSM system with explicit adaptive-protocol parameters and an
-    /// explicit transport configuration (the legacy flag surface: the flags
-    /// are mapped onto default policy objects via [`PolicySpec::from_config`]).
-    pub fn with_config(
-        cluster: Arc<Cluster>,
-        store: Arc<DsmStore>,
-        kind: ProtocolKind,
-        params: &AdaptiveParams,
+        spec: &PolicySpec,
         transport: &TransportConfig,
     ) -> Arc<Self> {
-        let policies = PolicySpec::from_config(kind, params, transport)
-            .build(cluster.machine(), cluster.num_nodes());
-        Self::with_policies(cluster, store, kind, params, transport, policies)
-    }
-
-    /// Build a DSM system from explicit policy objects — the typed surface
-    /// behind [`DsmSystem::with_config`].  `params` is still taken for the
-    /// configured-threshold accessors (sweeps query them regardless of the
-    /// detection policy in use); `transport` supplies the engine-level
-    /// mechanism switches (fetch overlap, backend) that are not policies.
-    pub fn with_policies(
-        cluster: Arc<Cluster>,
-        store: Arc<DsmStore>,
-        kind: ProtocolKind,
-        params: &AdaptiveParams,
-        transport: &TransportConfig,
-        policies: PolicySet,
-    ) -> Arc<Self> {
+        let policies = spec.build(cluster.machine(), cluster.num_nodes());
         let cpu = cluster.machine().cpu.clone();
         let dsm = cluster.machine().dsm.clone();
-        let configured_marks = resolve_marks(params, cluster.machine().adaptive_break_even());
         let page_fetch = cluster.register_service(Arc::new(PageFetchService {
             store: Arc::clone(&store),
             cpu: cpu.clone(),
@@ -141,9 +102,9 @@ impl DsmSystem {
         Arc::new(DsmSystem {
             cluster,
             store,
-            kind,
-            configured_marks,
+            kind: spec.detection.kind(),
             policies,
+            overlapped_fetches: spec.overlapped_fetches,
             transport: transport.clone(),
             page_fetch,
             diff_apply,
@@ -164,21 +125,19 @@ impl DsmSystem {
     }
 
     /// The resolved `java_ad` switching thresholds `(hi, lo)` in absolute
-    /// accesses-per-epoch (for tests, tools and the ablation benchmarks).
+    /// accesses-per-epoch (for tests, tools and the ablation benchmarks),
+    /// read from the detection policy; `None` unless it is adaptive.
     /// These are the *configured* marks; with online tuning a node's current
     /// marks may differ — see [`DsmSystem::adaptive_thresholds_on`].
-    pub fn adaptive_thresholds(&self) -> (u64, u64) {
-        self.configured_marks
+    pub fn adaptive_thresholds(&self) -> Option<(u64, u64)> {
+        self.policies.detection.configured_thresholds()
     }
 
     /// The `hi`/`lo` marks node `node` currently switches on (equal to
     /// [`DsmSystem::adaptive_thresholds`] unless online tuning has moved
-    /// them).
-    pub fn adaptive_thresholds_on(&self, node: NodeId) -> (u64, u64) {
-        self.policies
-            .detection
-            .thresholds_on(node)
-            .unwrap_or(self.configured_marks)
+    /// them); `None` unless the detection policy is adaptive.
+    pub fn adaptive_thresholds_on(&self, node: NodeId) -> Option<(u64, u64)> {
+        self.policies.detection.thresholds_on(node)
     }
 
     /// The transport configuration of this system.
@@ -480,7 +439,7 @@ impl DsmSystem {
         // whose hints are not earning their keep.
         if !abandoned.is_empty()
             && self.policies.predictor.converts_hints()
-            && self.transport.overlapped_fetches
+            && self.overlapped_fetches
         {
             abandoned.sort_unstable_by_key(|p| p.0);
             abandoned.dedup();

@@ -75,7 +75,7 @@ impl DsmSystem {
         if unprotect_after {
             NodeStats::bump(&node_ref.stats.mprotect_calls);
         }
-        if demand || !self.transport.overlapped_fetches {
+        if demand || !self.overlapped_fetches {
             drop(guard);
             clock.merge(completion);
             if unprotect_after {
@@ -115,9 +115,7 @@ impl DsmSystem {
         hints: &[HintRun],
     ) -> u64 {
         let mut issued_now = 0u64;
-        if hints.is_empty()
-            || !self.transport.overlapped_fetches
-            || !self.policies.predictor.converts_hints()
+        if hints.is_empty() || !self.overlapped_fetches || !self.policies.predictor.converts_hints()
         {
             return issued_now;
         }
@@ -348,7 +346,7 @@ impl DsmSystem {
             // One mprotect call opens the whole contiguous run.
             NodeStats::bump(&node_ref.stats.mprotect_calls);
         }
-        let overlapped = self.transport.overlapped_fetches;
+        let overlapped = self.overlapped_fetches;
         if demand || !overlapped {
             clock.merge(wire_completion);
             if needs_mprotect {

@@ -134,6 +134,12 @@ pub trait DetectionPolicy: Send + Sync {
     fn thresholds_on(&self, _node: NodeId) -> Option<(u64, u64)> {
         None
     }
+
+    /// The configured `hi`/`lo` switching marks, before any online tuning
+    /// (`None` for the fixed-technique policies).
+    fn configured_thresholds(&self) -> Option<(u64, u64)> {
+        None
+    }
 }
 
 /// `java_ic`: every access pays an explicit in-line locality check.
@@ -255,14 +261,6 @@ impl AdaptiveTuning {
             min_streak: params.min_prefetch_streak,
         }
     }
-}
-
-/// The `(hi, lo)` switching marks `params` resolve to on a machine with the
-/// given break-even access count — what [`crate::DsmSystem::
-/// adaptive_thresholds`] reports for every protocol.
-pub(crate) fn resolve_marks(params: &AdaptiveParams, break_even: u64) -> (u64, u64) {
-    let t = AdaptiveTuning::resolve(params, break_even);
-    (t.hi, t.lo)
 }
 
 /// Per-node online-adaptive threshold state (see
@@ -462,5 +460,9 @@ impl DetectionPolicy for AdaptiveDetection {
     fn thresholds_on(&self, node: NodeId) -> Option<(u64, u64)> {
         let t = &self.tuning[node.index()];
         Some((t.hi.load(Ordering::Relaxed), t.lo.load(Ordering::Relaxed)))
+    }
+
+    fn configured_thresholds(&self) -> Option<(u64, u64)> {
+        Some((self.ad.hi, self.ad.lo))
     }
 }

@@ -39,7 +39,6 @@ use std::sync::Arc;
 use hyperion_model::MachineModel;
 use hyperion_pm2::{FaultSpec, Topology};
 
-pub(crate) use detection::resolve_marks;
 pub use detection::{
     AccessAction, AdaptiveDetection, DetectionPolicy, EpochOutcome, InlineCheckDetection,
     PageProtectDetection,
@@ -49,7 +48,7 @@ pub use migration::{MajorityVoteMigration, MigrationPolicy, NoopMigration};
 pub use predictor::{DirectoryPredictor, FetchObservation, NoopPredictor, Predictor};
 pub use replication::{NoopReplication, QuorumReplication, ReplicationPolicy};
 
-use crate::config::{AdaptiveParams, ProtocolKind, TransportConfig};
+use crate::config::{AdaptiveParams, ProtocolKind};
 
 /// The five live policy objects one [`crate::DsmSystem`] consults.
 #[derive(Clone)]
@@ -94,6 +93,16 @@ impl DetectionSpec {
     /// `"java_ad"`).
     pub fn name(&self) -> &'static str {
         self.kind().name()
+    }
+
+    /// The detection choice a [`ProtocolKind`] names (`java_ad` with the
+    /// default [`AdaptiveParams`]).
+    pub fn for_protocol(kind: ProtocolKind) -> DetectionSpec {
+        match kind {
+            ProtocolKind::JavaIc => DetectionSpec::InlineCheck,
+            ProtocolKind::JavaPf => DetectionSpec::PageProtect,
+            ProtocolKind::JavaAd => DetectionSpec::Adaptive(AdaptiveParams::default()),
+        }
     }
 
     /// The [`ProtocolKind`] this spec describes.
@@ -327,6 +336,11 @@ impl TopologySpec {
 
 /// The full data-level policy selection of one run: what configs carry and
 /// builders construct, turned into live objects by [`PolicySpec::build`].
+///
+/// This is the single place a run's policies are chosen.  The named mixes
+/// the figures compare are constructors kept in [`crate::config`]:
+/// [`PolicySpec::for_protocol`] (the default), [`PolicySpec::blocking`],
+/// [`PolicySpec::latency_hiding`] and [`PolicySpec::directory`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct PolicySpec {
     /// Access-detection choice.
@@ -341,33 +355,18 @@ pub struct PolicySpec {
     pub replication: ReplicationSpec,
     /// Node-group topology choice (the two-level home hierarchy).
     pub topology: TopologySpec,
+    /// Overlapped page fetches: an explicit prefetch (`loadIntoCache`) and
+    /// every speculative batch rider issue their RPC immediately but record
+    /// an in-flight ticket; the requester keeps computing and pays only the
+    /// *residual* latency when the page is first really used.  Overlap is
+    /// an engine mechanism rather than a policy object — the engine keeps
+    /// the in-flight tickets for whichever policies want them — but it is
+    /// selected here with the rest.  Off by default (the paper's transport
+    /// blocks on every fetch).
+    pub overlapped_fetches: bool,
 }
 
 impl PolicySpec {
-    /// The spec the legacy flag surface describes: a [`ProtocolKind`] plus
-    /// [`TransportConfig`] booleans map onto exactly one policy per
-    /// decision point (`false` flags map to the `Noop`/synchronous
-    /// defaults).
-    pub fn from_config(
-        kind: ProtocolKind,
-        params: &AdaptiveParams,
-        transport: &TransportConfig,
-    ) -> PolicySpec {
-        let detection = match kind {
-            ProtocolKind::JavaIc => DetectionSpec::InlineCheck,
-            ProtocolKind::JavaPf => DetectionSpec::PageProtect,
-            ProtocolKind::JavaAd => DetectionSpec::Adaptive(params.clone()),
-        };
-        PolicySpec {
-            detection,
-            predictor: transport.predictor_spec(),
-            migration: transport.migration_spec(),
-            flush: transport.flush_spec(),
-            replication: transport.replication_spec(),
-            topology: transport.topology_spec(),
-        }
-    }
-
     /// Build the live [`PolicySet`] against a machine model.
     pub fn build(&self, machine: &MachineModel, nodes: usize) -> PolicySet {
         PolicySet {
@@ -381,11 +380,11 @@ impl PolicySpec {
 
     /// Reject illegal policy combinations before any cluster state exists.
     ///
-    /// `overlapped_fetches` is the engine's split-transaction mode (see
-    /// [`TransportConfig::overlapped_fetches`]): the directory predictor is
-    /// pointless without it — hints convert into overlapped fetches — so
-    /// that combination is rejected rather than silently ignored.
-    pub fn validate(&self, overlapped_fetches: bool) -> Result<(), PolicyError> {
+    /// The directory predictor is pointless without
+    /// [`PolicySpec::overlapped_fetches`] — hints convert into overlapped
+    /// fetches — so that combination is rejected rather than silently
+    /// ignored.
+    pub fn validate(&self) -> Result<(), PolicyError> {
         if let DetectionSpec::Adaptive(params) = &self.detection {
             validate_adaptive(params)?;
         }
@@ -394,7 +393,7 @@ impl PolicySpec {
                 if hint_window == 0 {
                     return Err(PolicyError::ZeroHintWindow);
                 }
-                if !overlapped_fetches {
+                if !self.overlapped_fetches {
                     return Err(PolicyError::HintsRequireOverlappedFetches);
                 }
             }
@@ -442,13 +441,16 @@ impl PolicySpec {
     }
 }
 
-/// Validate [`AdaptiveParams`] on their own (they are checked for every
-/// run, whichever protocol is selected, so a sweep harness fails fast).
+/// Validate [`AdaptiveParams`] on their own.
 pub fn validate_adaptive(params: &AdaptiveParams) -> Result<(), PolicyError> {
     if params.max_batch_pages == 0 {
         return Err(PolicyError::ZeroAdaptiveBatch);
     }
-    if params.hi_multiple <= 0.0
+    // Written so NaN fails too: every comparison with NaN is false, and
+    // `AdaptiveTuning::resolve` would otherwise turn it into `hi = 1`.
+    if !params.hi_multiple.is_finite()
+        || !params.lo_multiple.is_finite()
+        || params.hi_multiple <= 0.0
         || params.lo_multiple < 0.0
         || params.lo_multiple >= params.hi_multiple
     {
@@ -464,7 +466,8 @@ pub enum PolicyError {
     /// nothing).
     ZeroAdaptiveBatch,
     /// The adaptive switching band is not a hysteresis band
-    /// (`0 <= lo_multiple < hi_multiple` is required).
+    /// (finite multiples with `0 <= lo_multiple < hi_multiple` are
+    /// required).
     InvalidHysteresis,
     /// A synchronous flush with a zero page ceiling would flush nothing.
     ZeroFlushBatch,
@@ -477,7 +480,7 @@ pub enum PolicyError {
     /// A directory predictor with a zero hint window can never hint.
     ZeroHintWindow,
     /// The directory predictor converts hints into overlapped fetches;
-    /// without [`TransportConfig::overlapped_fetches`] it would silently
+    /// without [`PolicySpec::overlapped_fetches`] it would silently
     /// generate hints nobody uses.
     HintsRequireOverlappedFetches,
     /// Quorum replication with zero read replicas keeps no copies to elect
@@ -511,13 +514,15 @@ impl std::fmt::Display for PolicyError {
                 "max_batch_pages must be at least 1 (1 batches nothing, 0 fetches nothing)"
             }
             PolicyError::InvalidHysteresis => {
-                "switching hysteresis needs 0 <= lo_multiple < hi_multiple"
+                "switching hysteresis needs finite 0 <= lo_multiple < hi_multiple"
             }
-            PolicyError::ZeroFlushBatch => "max_flush_batch_pages must be at least 1",
+            PolicyError::ZeroFlushBatch => "a synchronous flush needs max_pages of at least 1",
             PolicyError::DeferredFlushWithoutBatching => {
                 "deferred release flushing needs a flush batch of at least 1 page"
             }
-            PolicyError::ZeroMigrationStreak => "migration_streak must be at least 1",
+            PolicyError::ZeroMigrationStreak => {
+                "a majority-vote migration streak must be at least 1"
+            }
             PolicyError::ZeroHintWindow => "hint_window must be at least 1",
             PolicyError::HintsRequireOverlappedFetches => {
                 "prefetch hints require overlapped fetches (hints convert into split transactions)"

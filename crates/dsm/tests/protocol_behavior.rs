@@ -5,7 +5,10 @@
 
 use std::sync::Arc;
 
-use hyperion_dsm::{AdaptiveParams, DsmStore, DsmSystem, Locality, ProtocolKind, TransportConfig};
+use hyperion_dsm::policy::{DetectionSpec, MigrationSpec};
+use hyperion_dsm::{
+    AdaptiveParams, DsmStore, DsmSystem, Locality, PolicySpec, ProtocolKind, TransportConfig,
+};
 use hyperion_model::{myrinet_200, NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Cluster, IsoAllocator, NodeId, SLOTS_PER_PAGE};
 
@@ -16,24 +19,19 @@ struct Fixture {
 }
 
 fn fixture(nodes: usize, kind: ProtocolKind) -> Fixture {
-    fixture_with(
-        nodes,
-        kind,
-        &AdaptiveParams::default(),
-        &TransportConfig::default(),
-    )
+    fixture_with(nodes, &PolicySpec::for_protocol(kind))
 }
 
-fn fixture_with(
-    nodes: usize,
-    kind: ProtocolKind,
-    params: &AdaptiveParams,
-    transport: &TransportConfig,
-) -> Fixture {
+fn fixture_with(nodes: usize, spec: &PolicySpec) -> Fixture {
     let cluster = Cluster::new(myrinet_200().machine, nodes);
     let alloc = Arc::new(IsoAllocator::new(nodes));
     let store = DsmStore::new(Arc::clone(&alloc), nodes);
-    let dsm = DsmSystem::with_config(Arc::clone(&cluster), store, kind, params, transport);
+    let dsm = DsmSystem::new(
+        Arc::clone(&cluster),
+        store,
+        spec,
+        &TransportConfig::default(),
+    );
     Fixture {
         cluster,
         alloc,
@@ -422,7 +420,7 @@ fn adaptive_home_accesses_are_free_like_pf() {
 fn adaptive_dense_page_switches_to_protection_and_back() {
     let f = fixture(2, ProtocolKind::JavaAd);
     let addr = f.alloc.alloc(8, NodeId(1));
-    let (hi, lo) = f.dsm.adaptive_thresholds();
+    let (hi, lo) = f.dsm.adaptive_thresholds().expect("java_ad has marks");
     assert!(hi > 1, "break-even must exceed one access");
     assert!(lo < hi);
 
@@ -568,7 +566,7 @@ fn adaptive_batch_pays_mprotect_for_protect_mode_riders() {
     let slots = SLOTS_PER_PAGE * 2;
     let addr = f.alloc.alloc_page_aligned(slots, NodeId(1));
     let second = addr.offset(SLOTS_PER_PAGE as u64);
-    let (hi, _) = f.dsm.adaptive_thresholds();
+    let (hi, _) = f.dsm.adaptive_thresholds().expect("java_ad has marks");
     let mut clock = ThreadClock::new();
 
     // Three epochs: the first page stays sparse (check mode), the second
@@ -614,9 +612,13 @@ fn adaptive_custom_params_shift_the_thresholds() {
         min_prefetch_streak: 2,
         online_thresholds: false,
     };
-    let dsm = DsmSystem::with_params(cluster, store, ProtocolKind::JavaAd, &tuned);
+    let spec = PolicySpec {
+        detection: DetectionSpec::Adaptive(tuned),
+        ..PolicySpec::for_protocol(ProtocolKind::JavaAd)
+    };
+    let dsm = DsmSystem::new(cluster, store, &spec, &TransportConfig::default());
     let n_star = myrinet_200().machine.adaptive_break_even();
-    let (hi, lo) = dsm.adaptive_thresholds();
+    let (hi, lo) = dsm.adaptive_thresholds().expect("java_ad has marks");
     assert_eq!(hi, (n_star as f64 * 2.0).ceil() as u64);
     assert_eq!(lo, (n_star as f64 * 0.25).floor() as u64);
     assert!(lo < hi);
@@ -630,13 +632,15 @@ fn adaptive_custom_params_shift_the_thresholds() {
 
 #[test]
 fn overlapped_prefetch_hides_latency_behind_compute() {
-    let overlapped = TransportConfig {
-        overlapped_fetches: true,
-        ..TransportConfig::default()
-    };
     for kind in ProtocolKind::all_extended() {
         let blocking = fixture(2, kind);
-        let split = fixture_with(2, kind, &AdaptiveParams::default(), &overlapped);
+        let split = fixture_with(
+            2,
+            &PolicySpec {
+                overlapped_fetches: true,
+                ..PolicySpec::for_protocol(kind)
+            },
+        );
         let a_b = blocking.alloc.alloc(8, NodeId(1));
         let a_s = split.alloc.alloc(8, NodeId(1));
         blocking
@@ -686,15 +690,12 @@ fn overlapped_prefetch_hides_latency_behind_compute() {
 
 #[test]
 fn overlapped_ticket_completes_exactly_once_and_clears_on_invalidate() {
-    let overlapped = TransportConfig {
-        overlapped_fetches: true,
-        ..TransportConfig::default()
-    };
     let f = fixture_with(
         2,
-        ProtocolKind::JavaPf,
-        &AdaptiveParams::default(),
-        &overlapped,
+        &PolicySpec {
+            overlapped_fetches: true,
+            ..PolicySpec::for_protocol(ProtocolKind::JavaPf)
+        },
     );
     let addr = f.alloc.alloc(8, NodeId(1));
     let mut clock = ThreadClock::new();
@@ -728,12 +729,7 @@ fn overlapped_ticket_completes_exactly_once_and_clears_on_invalidate() {
 #[test]
 fn batched_flush_coalesces_contiguous_same_home_dirty_pages() {
     let batched = fixture(2, ProtocolKind::JavaIc);
-    let unbatched = fixture_with(
-        2,
-        ProtocolKind::JavaIc,
-        &AdaptiveParams::default(),
-        &TransportConfig::blocking(),
-    );
+    let unbatched = fixture_with(2, &PolicySpec::blocking(ProtocolKind::JavaIc));
     let slots = SLOTS_PER_PAGE * 3;
     let values: Vec<u64> = (0..slots as u64).map(|v| v * 7 + 1).collect();
 
@@ -788,19 +784,16 @@ fn flush_batches_never_cross_home_boundaries() {
 
 // ----- home migration ----------------------------------------------------
 
+fn migrating(kind: ProtocolKind, streak: u32) -> PolicySpec {
+    PolicySpec {
+        migration: MigrationSpec::MajorityVote { streak },
+        ..PolicySpec::for_protocol(kind)
+    }
+}
+
 #[test]
 fn home_migrates_to_the_dominant_writer() {
-    let transport = TransportConfig {
-        home_migration: true,
-        migration_streak: 3,
-        ..TransportConfig::default()
-    };
-    let f = fixture_with(
-        2,
-        ProtocolKind::JavaPf,
-        &AdaptiveParams::default(),
-        &transport,
-    );
+    let f = fixture_with(2, &migrating(ProtocolKind::JavaPf, 3));
     let addr = f.alloc.alloc(8, NodeId(0));
     let page = addr.page();
     assert_eq!(f.dsm.locality(NodeId(0), page), Locality::Local);
@@ -838,17 +831,7 @@ fn home_migrates_to_the_dominant_writer() {
 
 #[test]
 fn alternating_writers_never_migrate_the_home() {
-    let transport = TransportConfig {
-        home_migration: true,
-        migration_streak: 3,
-        ..TransportConfig::default()
-    };
-    let f = fixture_with(
-        3,
-        ProtocolKind::JavaIc,
-        &AdaptiveParams::default(),
-        &transport,
-    );
+    let f = fixture_with(3, &migrating(ProtocolKind::JavaIc, 3));
     let addr = f.alloc.alloc(8, NodeId(0));
     let mut c1 = ThreadClock::new();
     let mut c2 = ThreadClock::new();
@@ -867,17 +850,7 @@ fn alternating_writers_never_migrate_the_home() {
 
 #[test]
 fn repeated_migrations_back_off_geometrically() {
-    let transport = TransportConfig {
-        home_migration: true,
-        migration_streak: 2,
-        ..TransportConfig::default()
-    };
-    let f = fixture_with(
-        2,
-        ProtocolKind::JavaIc,
-        &AdaptiveParams::default(),
-        &transport,
-    );
+    let f = fixture_with(2, &migrating(ProtocolKind::JavaIc, 2));
     let addr = f.alloc.alloc(8, NodeId(0));
     let page = addr.page();
     let burst = |node: NodeId, n: u64| {
@@ -907,13 +880,17 @@ fn online_thresholds_widen_when_a_workload_flaps() {
     };
     let online = fixture_with(
         2,
-        ProtocolKind::JavaAd,
-        &params,
-        &TransportConfig::default(),
+        &PolicySpec {
+            detection: DetectionSpec::Adaptive(params),
+            ..PolicySpec::for_protocol(ProtocolKind::JavaAd)
+        },
     );
     let f_static = fixture(2, ProtocolKind::JavaAd);
-    let (hi0, lo0) = online.dsm.adaptive_thresholds();
-    assert_eq!(online.dsm.adaptive_thresholds_on(NodeId(0)), (hi0, lo0));
+    let (hi0, lo0) = online.dsm.adaptive_thresholds().expect("java_ad has marks");
+    assert_eq!(
+        online.dsm.adaptive_thresholds_on(NodeId(0)),
+        Some((hi0, lo0))
+    );
 
     // A mispredicting workload: one dense epoch followed by four idle
     // epochs, repeatedly.  Under the static thresholds every dense epoch
@@ -940,7 +917,10 @@ fn online_thresholds_widen_when_a_workload_flaps() {
 
     // The node tightened its own hysteresis: the band is wider than the
     // configured one...
-    let (hi_now, lo_now) = online.dsm.adaptive_thresholds_on(NodeId(0));
+    let (hi_now, lo_now) = online
+        .dsm
+        .adaptive_thresholds_on(NodeId(0))
+        .expect("java_ad has marks");
     assert!(
         hi_now > hi0 && lo_now <= lo0,
         "band must widen: ({hi_now}, {lo_now}) vs ({hi0}, {lo0})"
@@ -951,18 +931,13 @@ fn online_thresholds_widen_when_a_workload_flaps() {
         "online tuning must cut mode churn: {switches_online} vs {switches_static}"
     );
     // The configured thresholds are untouched.
-    assert_eq!(online.dsm.adaptive_thresholds(), (hi0, lo0));
+    assert_eq!(online.dsm.adaptive_thresholds(), Some((hi0, lo0)));
 }
 
 // ----- prefetch directory ------------------------------------------------
 
 fn directory_fixture(nodes: usize, kind: ProtocolKind) -> Fixture {
-    fixture_with(
-        nodes,
-        kind,
-        &AdaptiveParams::default(),
-        &TransportConfig::directory(),
-    )
+    fixture_with(nodes, &PolicySpec::directory(kind))
 }
 
 #[test]
@@ -1171,13 +1146,8 @@ fn hints_require_the_directory_transport() {
 #[test]
 fn hinted_fetches_never_change_observed_values() {
     // The same scan, with and without the directory: identical values.
-    let run = |transport: &TransportConfig| -> Vec<u64> {
-        let f = fixture_with(
-            2,
-            ProtocolKind::JavaIc,
-            &AdaptiveParams::default(),
-            transport,
-        );
+    let run = |spec: &PolicySpec| -> Vec<u64> {
+        let f = fixture_with(2, spec);
         let slots = SLOTS_PER_PAGE * 4;
         let addr = f.alloc.alloc_page_aligned(slots, NodeId(1));
         let mut home = ThreadClock::new();
@@ -1190,8 +1160,8 @@ fn hinted_fetches_never_change_observed_values() {
             .collect()
     };
     assert_eq!(
-        run(&TransportConfig::default()),
-        run(&TransportConfig::directory())
+        run(&PolicySpec::for_protocol(ProtocolKind::JavaIc)),
+        run(&PolicySpec::directory(ProtocolKind::JavaIc))
     );
 }
 

@@ -104,7 +104,7 @@ pub mod prelude {
         ConfigBuilder, HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx,
     };
     pub use hyperion_dsm::{
-        AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig,
+        AdaptiveParams, DeferredFlush, Locality, PolicySpec, ProtocolKind, TransportConfig,
     };
     pub use hyperion_model::{
         myrinet_200, scaled_cluster, sci_450, ClusterSpec, Op, OpCounts, VTime, WorkEstimate,

@@ -176,7 +176,7 @@ impl HMonitor {
     /// Exit the monitor (`monitorexit`): perform the JMM release action, then
     /// release the lock.
     ///
-    /// Under [`hyperion_dsm::TransportConfig::deferred_flush`] the release
+    /// Under [`hyperion_dsm::policy::FlushSpec::Deferred`] the release
     /// flush is issued as split transactions and its completion watermark is
     /// parked on this monitor; the releasing thread keeps computing and the
     /// *next acquire of this monitor* pays whatever latency compute did not
@@ -292,7 +292,7 @@ impl ThreadCtx {
 mod tests {
     use super::*;
     use crate::runtime::{HyperionConfig, HyperionRuntime};
-    use hyperion_dsm::ProtocolKind;
+    use hyperion_dsm::{PolicySpec, ProtocolKind};
     use hyperion_model::myrinet_200;
 
     fn runtime(nodes: usize, protocol: ProtocolKind) -> HyperionRuntime {
@@ -427,8 +427,7 @@ mod tests {
         let config = HyperionConfig::builder()
             .cluster(myrinet_200())
             .nodes(nodes)
-            .protocol(protocol)
-            .transport(hyperion_dsm::TransportConfig::directory())
+            .policies(PolicySpec::directory(protocol))
             .build()
             .unwrap();
         HyperionRuntime::new(config).unwrap()

@@ -254,7 +254,7 @@ impl<T: SlotValue> HArray<T> {
     /// per touched page).  A no-op for local and already-cached pages.
     ///
     /// Under the overlapped transport
-    /// ([`hyperion_dsm::TransportConfig::overlapped_fetches`]) the fetches
+    /// ([`hyperion_dsm::PolicySpec::overlapped_fetches`]) the fetches
     /// are issued as split transactions, so calling this right after an
     /// acquire point hides the transfer latency behind whatever computation
     /// runs before the data's first real use.

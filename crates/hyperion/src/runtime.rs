@@ -12,10 +12,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hyperion_dsm::policy::validate_adaptive;
+use hyperion_dsm::policy::DetectionSpec;
 use hyperion_dsm::{
-    AdaptiveParams, DsmStore, DsmSystem, Locality, PolicyError, PolicySpec, ProtocolKind,
-    TransportConfig,
+    DsmStore, DsmSystem, Locality, PolicyError, PolicySpec, ProtocolKind, TransportConfig,
 };
 use hyperion_model::vtime::TimeWatermark;
 use hyperion_model::{
@@ -35,22 +34,12 @@ pub struct HyperionConfig {
     pub cluster: ClusterSpec,
     /// How many of the cluster's nodes to use for this run.
     pub nodes: usize,
-    /// Access-detection protocol (`java_ic`, `java_pf` or `java_ad`).
-    pub protocol: ProtocolKind,
-    /// Policy knobs of the adaptive protocol (ignored unless `protocol` is
-    /// [`ProtocolKind::JavaAd`]): switching-hysteresis multiples of the
-    /// machine model's break-even and the batched-fetch window.
-    pub adaptive: AdaptiveParams,
-    /// Split-transaction transport configuration: overlapped page fetches,
-    /// batched diff flushing and home migration.  Applies to every protocol
-    /// (the mechanisms are semantics-preserving).
+    /// Every policy of the run: access detection (the paper's protocol,
+    /// see [`HyperionConfig::protocol`]), prediction, migration, flushing,
+    /// replication, topology and fetch overlap.
+    pub policies: PolicySpec,
+    /// The carrier under the DSM: backend, retry schedule and fault plan.
     pub transport: TransportConfig,
-    /// Explicit policy selection.  `None` (the default) derives the
-    /// [`PolicySpec`] from `protocol`, `adaptive` and the `transport` flags
-    /// via [`PolicySpec::from_config`]; `Some` chooses the policy object per
-    /// decision point directly.  An explicit spec must agree with `protocol`
-    /// on the detection choice ([`ConfigError::PolicyMismatch`] otherwise).
-    pub policies: Option<PolicySpec>,
     /// Application threads per node.  The paper uses one ("we used only one
     /// application thread per node", §4.3); larger values exercise the
     /// computation/communication-overlap extension.
@@ -75,14 +64,13 @@ impl HyperionConfig {
     /// `HyperionConfig::builder().cluster(..).nodes(..).protocol(..).build()`
     /// except that no validation is performed until
     /// [`HyperionConfig::validate`] / [`HyperionRuntime::new`].
+    /// The policies are [`PolicySpec::for_protocol`]`(protocol)`.
     pub fn new(cluster: ClusterSpec, nodes: usize, protocol: ProtocolKind) -> Self {
         HyperionConfig {
             cluster,
             nodes,
-            protocol,
-            adaptive: AdaptiveParams::default(),
+            policies: PolicySpec::for_protocol(protocol),
             transport: TransportConfig::default(),
-            policies: None,
             threads_per_node: 1,
             pacing_window: Some(VTime::from_us(500)),
         }
@@ -91,9 +79,10 @@ impl HyperionConfig {
     /// Start building a configuration.
     ///
     /// The builder is the canonical way to assemble a run configuration:
-    /// `cluster`, `nodes` and `protocol` are mandatory, everything else has
-    /// the defaults of [`HyperionConfig::new`], and [`ConfigBuilder::build`]
-    /// validates the result before handing it out.
+    /// `cluster`, `nodes` and a policy selection (`protocol` or `policies`)
+    /// are mandatory, everything else has the defaults of
+    /// [`HyperionConfig::new`], and [`ConfigBuilder::build`] validates the
+    /// result before handing it out.
     ///
     /// ```
     /// use hyperion::prelude::*;
@@ -106,6 +95,17 @@ impl HyperionConfig {
     ///     .build()
     ///     .unwrap();
     /// assert_eq!(config.total_app_threads(), 8);
+    ///
+    /// // A non-default mix is one `PolicySpec`; `protocol()` reads its
+    /// // detection choice back.
+    /// let config = HyperionConfig::builder()
+    ///     .cluster(myrinet_200())
+    ///     .nodes(4)
+    ///     .policies(PolicySpec::directory(ProtocolKind::JavaPf))
+    ///     .build()
+    ///     .unwrap();
+    /// assert_eq!(config.protocol(), ProtocolKind::JavaPf);
+    /// assert!(config.policies.overlapped_fetches);
     /// ```
     pub fn builder() -> ConfigBuilder {
         ConfigBuilder::default()
@@ -123,12 +123,6 @@ impl HyperionConfig {
         self
     }
 
-    /// Builder-style override of [`HyperionConfig::adaptive`].
-    pub fn with_adaptive(mut self, adaptive: AdaptiveParams) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
     /// Builder-style override of [`HyperionConfig::transport`].
     pub fn with_transport(mut self, transport: TransportConfig) -> Self {
         self.transport = transport;
@@ -137,17 +131,15 @@ impl HyperionConfig {
 
     /// Builder-style override of [`HyperionConfig::policies`].
     pub fn with_policies(mut self, policies: PolicySpec) -> Self {
-        self.policies = Some(policies);
+        self.policies = policies;
         self
     }
 
-    /// The effective policy selection of this run: the explicit
-    /// [`HyperionConfig::policies`] spec if one was set, otherwise the spec
-    /// the legacy flag surface describes ([`PolicySpec::from_config`]).
-    pub fn policy_spec(&self) -> PolicySpec {
-        self.policies.clone().unwrap_or_else(|| {
-            PolicySpec::from_config(self.protocol, &self.adaptive, &self.transport)
-        })
+    /// The access-detection protocol of this run: the kind of
+    /// [`HyperionConfig::policies`]' detection choice.
+    #[inline]
+    pub fn protocol(&self) -> ProtocolKind {
+        self.policies.detection.kind()
     }
 
     /// Total number of application (computation) threads the standard SPMD
@@ -163,10 +155,7 @@ impl HyperionConfig {
     /// hysteresis bands, batch ceilings, hint windows, migration streaks,
     /// hints without overlapped fetches — is a typed
     /// [`PolicyError`] wrapped in [`ConfigError::Policy`], produced by
-    /// [`PolicySpec::validate`] on the effective policy spec.  A zero knob
-    /// on a *disabled* feature (e.g. `migration_streak == 0` with
-    /// `home_migration` off) maps to a `Noop` policy and is therefore no
-    /// longer an error.
+    /// [`PolicySpec::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::ZeroNodes);
@@ -180,20 +169,8 @@ impl HyperionConfig {
                 available: self.cluster.max_nodes,
             });
         }
-        // Adaptive tunables are checked whichever protocol runs (a sweep
-        // harness sharing one `AdaptiveParams` should fail fast), then the
-        // effective spec validates each selected policy.
-        validate_adaptive(&self.adaptive)?;
-        if let Some(explicit) = &self.policies {
-            if explicit.detection.kind() != self.protocol {
-                return Err(ConfigError::PolicyMismatch {
-                    protocol: self.protocol,
-                    policies: explicit.detection.kind(),
-                });
-            }
-        }
-        let spec = self.policy_spec();
-        spec.validate(self.transport.overlapped_fetches)?;
+        let spec = &self.policies;
+        spec.validate()?;
         // Topology shape checks need the node count and the fault schedule,
         // which the policy spec itself does not carry.
         spec.topology
@@ -238,10 +215,8 @@ impl HyperionConfig {
 pub struct ConfigBuilder {
     cluster: Option<ClusterSpec>,
     nodes: Option<usize>,
-    protocol: Option<ProtocolKind>,
-    adaptive: Option<AdaptiveParams>,
-    transport: Option<TransportConfig>,
     policies: Option<PolicySpec>,
+    transport: Option<TransportConfig>,
     threads_per_node: Option<usize>,
     pacing_window: Option<Option<VTime>>,
 }
@@ -259,34 +234,33 @@ impl ConfigBuilder {
         self
     }
 
-    /// Access-detection protocol (`java_ic`, `java_pf` or `java_ad`).
-    /// Mandatory.
+    /// Access-detection protocol (`java_ic`, `java_pf` or `java_ad`):
+    /// shorthand that writes the detection choice into the policy spec,
+    /// starting from [`PolicySpec::for_protocol`] if none was set.  A spec
+    /// that already detects with `protocol` is left as it is, so its
+    /// adaptive tunables survive.  This or [`ConfigBuilder::policies`] is
+    /// mandatory.
     pub fn protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.protocol = Some(protocol);
+        let spec = self
+            .policies
+            .get_or_insert_with(|| PolicySpec::for_protocol(protocol));
+        if spec.detection.kind() != protocol {
+            spec.detection = DetectionSpec::for_protocol(protocol);
+        }
         self
     }
 
-    /// Policy knobs for `java_ad` (thresholds, batching window).  Defaults
-    /// to [`AdaptiveParams::default`]; ignored by the other protocols.
-    pub fn adaptive(mut self, adaptive: AdaptiveParams) -> Self {
-        self.adaptive = Some(adaptive);
+    /// Every policy of the run (see [`HyperionConfig::policies`]), replacing
+    /// whatever an earlier [`ConfigBuilder::protocol`] selected.
+    pub fn policies(mut self, policies: PolicySpec) -> Self {
+        self.policies = Some(policies);
         self
     }
 
-    /// Split-transaction transport configuration (overlapped fetches,
-    /// batched diff flushing, home migration).  Defaults to
+    /// The carrier under the DSM (backend, retry, faults).  Defaults to
     /// [`TransportConfig::default`].
     pub fn transport(mut self, transport: TransportConfig) -> Self {
         self.transport = Some(transport);
-        self
-    }
-
-    /// Explicit per-decision-point policy selection (see
-    /// [`HyperionConfig::policies`]).  Defaults to the spec derived from the
-    /// `protocol`, `adaptive` and `transport` fields; an explicit spec must
-    /// agree with `protocol` on the detection choice.
-    pub fn policies(mut self, policies: PolicySpec) -> Self {
-        self.policies = Some(policies);
         self
     }
 
@@ -306,22 +280,17 @@ impl ConfigBuilder {
     /// Assemble and validate the configuration.
     ///
     /// Fails with [`ConfigError::MissingField`] if `cluster`, `nodes` or
-    /// `protocol` was never set, and with the [`HyperionConfig::validate`]
-    /// errors on out-of-range values.
+    /// the policy selection (`protocol`) was never set, and with the
+    /// [`HyperionConfig::validate`] errors on out-of-range values.
     pub fn build(self) -> Result<HyperionConfig, ConfigError> {
         let cluster = self.cluster.ok_or(ConfigError::MissingField("cluster"))?;
         let nodes = self.nodes.ok_or(ConfigError::MissingField("nodes"))?;
-        let protocol = self.protocol.ok_or(ConfigError::MissingField("protocol"))?;
+        let policies = self.policies.ok_or(ConfigError::MissingField("protocol"))?;
         // Start from `new()` so the defaults live in exactly one place.
-        let mut config = HyperionConfig::new(cluster, nodes, protocol);
-        if let Some(adaptive) = self.adaptive {
-            config.adaptive = adaptive;
-        }
+        let mut config =
+            HyperionConfig::new(cluster, nodes, policies.detection.kind()).with_policies(policies);
         if let Some(transport) = self.transport {
             config.transport = transport;
-        }
-        if let Some(policies) = self.policies {
-            config.policies = Some(policies);
         }
         if let Some(threads) = self.threads_per_node {
             config.threads_per_node = threads;
@@ -355,19 +324,11 @@ pub enum ConfigError {
     /// windows, migration streaks): the typed verdict of
     /// [`PolicySpec::validate`].
     Policy(PolicyError),
-    /// An explicit [`HyperionConfig::policies`] spec whose detection choice
-    /// disagrees with the `protocol` field.
-    PolicyMismatch {
-        /// The protocol the configuration names.
-        protocol: ProtocolKind,
-        /// The detection protocol the explicit policy spec selects.
-        policies: ProtocolKind,
-    },
     /// The transport parameters are out of range.
     InvalidTransport(&'static str),
     /// A socket backend whose per-node connection fan-in exceeds the bound
-    /// (flat topologies keep one connection per peer; group the topology
-    /// via [`TransportConfig::group_size`] to shrink the fan-in).
+    /// (flat topologies keep one connection per peer; select a grouped
+    /// [`hyperion_dsm::TopologySpec`] to shrink the fan-in).
     SocketFanIn {
         /// Connections one node would have to keep open.
         degree: usize,
@@ -408,20 +369,14 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Policy(err) => {
                 write!(f, "invalid policy selection: {err}")
             }
-            ConfigError::PolicyMismatch { protocol, policies } => write!(
-                f,
-                "explicit policies select {} detection but the configuration's protocol is {}",
-                policies.name(),
-                protocol.name()
-            ),
             ConfigError::InvalidTransport(reason) => {
                 write!(f, "invalid transport parameters: {reason}")
             }
             ConfigError::SocketFanIn { degree, bound } => write!(
                 f,
                 "socket backends bound the per-node connection fan-in: this topology needs \
-                 {degree} connections per node but at most {bound} are supported; set \
-                 `TransportConfig::group_size` to route through group leaders"
+                 {degree} connections per node but at most {bound} are supported; select \
+                 `TopologySpec::Grouped` in the policy spec to route through group leaders"
             ),
         }
     }
@@ -515,22 +470,18 @@ impl HyperionRuntime {
             config.transport.fault,
         );
         let allocator = Arc::new(IsoAllocator::new(config.nodes));
-        // Build through the effective policy spec: identical to the legacy
-        // `with_config` path when `config.policies` is `None`, and the typed
-        // override when it is `Some`.  The spec's topology shapes the store
-        // (directory keying, version tracking) — `validate` above has
-        // already rejected non-dividing group sizes.
-        let spec = config.policy_spec();
-        let store =
-            DsmStore::with_topology(Arc::clone(&allocator), spec.topology.build(config.nodes));
-        let policies = spec.build(cluster.machine(), config.nodes);
-        let dsm = DsmSystem::with_policies(
+        // The spec's topology shapes the store (directory keying, version
+        // tracking) — `validate` above has already rejected non-dividing
+        // group sizes.
+        let store = DsmStore::with_topology(
+            Arc::clone(&allocator),
+            config.policies.topology.build(config.nodes),
+        );
+        let dsm = DsmSystem::new(
             Arc::clone(&cluster),
             store,
-            config.protocol,
-            &config.adaptive,
+            &config.policies,
             &config.transport,
-            policies,
         );
         let balancer = LoadBalancer::new(config.nodes);
         Ok(HyperionRuntime {
@@ -561,7 +512,7 @@ impl HyperionRuntime {
 
     /// The access-detection protocol of this run.
     pub fn protocol(&self) -> ProtocolKind {
-        self.shared.config.protocol
+        self.shared.config.protocol()
     }
 
     /// The underlying cluster (for inspection in tests and tools).
@@ -642,7 +593,7 @@ impl HyperionRuntime {
             }
         };
         let report = RunReport {
-            protocol: shared.config.protocol,
+            protocol: shared.config.protocol(),
             cluster_label: shared.config.cluster.label().to_string(),
             nodes: shared.config.nodes,
             threads: shared.registry.total(),
@@ -662,7 +613,7 @@ impl std::fmt::Debug for HyperionRuntime {
         f.debug_struct("HyperionRuntime")
             .field("cluster", &self.shared.config.cluster.label())
             .field("nodes", &self.shared.config.nodes)
-            .field("protocol", &self.shared.config.protocol.name())
+            .field("protocol", &self.shared.config.protocol().name())
             .finish()
     }
 }
@@ -798,16 +749,15 @@ impl ThreadCtx {
     /// The access-detection protocol of this run.
     #[inline]
     pub fn protocol(&self) -> ProtocolKind {
-        self.shared.config.protocol
+        self.shared.config.protocol()
     }
 
-    /// The transport configuration of this run.  Kernels consult it for
-    /// transport-aware restructurings (e.g. issuing a fetch a
-    /// statement-window early only pays off when the transport can split
-    /// the transaction).
+    /// The policy selection of this run.  Kernels consult it for
+    /// policy-aware restructurings (e.g. issuing a fetch a statement-window
+    /// early only pays off when prefetch hints split the transaction).
     #[inline]
-    pub fn transport(&self) -> &TransportConfig {
-        &self.shared.config.transport
+    pub fn policies(&self) -> &PolicySpec {
+        &self.shared.config.policies
     }
 
     /// Number of nodes in this run.
@@ -980,7 +930,7 @@ impl ThreadCtx {
     ///
     /// Under the blocking transport this pays each fetch up front, exactly
     /// as fetching at first use would; under
-    /// [`hyperion_dsm::TransportConfig::overlapped_fetches`] the fetches are
+    /// [`PolicySpec::overlapped_fetches`] the fetches are
     /// issued as split transactions and only their *residual* latency is
     /// charged when the data is first really used — this is the call a
     /// latency-hiding kernel places as early as its consistency window
@@ -1009,7 +959,7 @@ impl ThreadCtx {
     /// migration), after which remote pages must be re-detected.
     pub fn locality(&mut self, addr: GlobalAddr) -> Locality {
         let loc = self.shared.dsm.locality(self.node, addr.page());
-        if self.shared.config.protocol == ProtocolKind::JavaIc {
+        if self.shared.config.protocol() == ProtocolKind::JavaIc {
             let node_ref = self.shared.cluster.node(self.node);
             NodeStats::bump(&node_ref.stats.locality_checks);
             let check = self.shared.cluster.machine().cpu.locality_check();
@@ -1190,6 +1140,8 @@ impl std::fmt::Debug for ThreadCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperion_dsm::policy::{FlushSpec, MigrationSpec, PredictorSpec};
+    use hyperion_dsm::AdaptiveParams;
     use hyperion_model::myrinet_200;
 
     fn config(nodes: usize, protocol: ProtocolKind) -> HyperionConfig {
@@ -1233,7 +1185,8 @@ mod tests {
             .unwrap();
         let legacy = config(4, ProtocolKind::JavaPf);
         assert_eq!(built.nodes, legacy.nodes);
-        assert_eq!(built.protocol, legacy.protocol);
+        assert_eq!(built.protocol(), legacy.protocol());
+        assert_eq!(built.policies, legacy.policies);
         assert_eq!(built.threads_per_node, legacy.threads_per_node);
         assert_eq!(built.pacing_window, legacy.pacing_window);
 
@@ -1247,6 +1200,21 @@ mod tests {
             .unwrap();
         assert_eq!(custom.total_app_threads(), 6);
         assert_eq!(custom.pacing_window, None);
+
+        // `protocol` writes into the one policy spec: it swaps the
+        // detection choice of an earlier `policies` and keeps the rest.
+        let swapped = HyperionConfig::builder()
+            .cluster(myrinet_200())
+            .nodes(2)
+            .policies(PolicySpec::directory(ProtocolKind::JavaPf))
+            .protocol(ProtocolKind::JavaIc)
+            .build()
+            .unwrap();
+        assert_eq!(
+            swapped.policies,
+            PolicySpec::directory(ProtocolKind::JavaIc)
+        );
+        assert_eq!(swapped.protocol(), ProtocolKind::JavaIc);
     }
 
     #[test]
@@ -1294,6 +1262,14 @@ mod tests {
         assert!(format!("{}", ConfigError::MissingField("protocol")).contains("protocol"));
     }
 
+    /// A `java_ad` configuration with the given adaptive tunables.
+    fn adaptive(params: AdaptiveParams) -> HyperionConfig {
+        config(2, ProtocolKind::JavaAd).with_policies(PolicySpec {
+            detection: DetectionSpec::Adaptive(params),
+            ..PolicySpec::for_protocol(ProtocolKind::JavaAd)
+        })
+    }
+
     #[test]
     fn adaptive_params_flow_from_builder_to_the_dsm_engine() {
         let tuned = AdaptiveParams {
@@ -1306,37 +1282,59 @@ mod tests {
         let built = HyperionConfig::builder()
             .cluster(myrinet_200())
             .nodes(2)
+            .policies(adaptive(tuned.clone()).policies)
+            // Already `java_ad`: the shorthand keeps the tuned detection.
             .protocol(ProtocolKind::JavaAd)
-            .adaptive(tuned.clone())
             .build()
             .unwrap();
-        assert_eq!(built.adaptive, tuned);
+        assert_eq!(
+            built.policies.detection,
+            DetectionSpec::Adaptive(tuned.clone())
+        );
         let rt = HyperionRuntime::new(built).unwrap();
         let n_star = myrinet_200().machine.adaptive_break_even();
-        let (hi, lo) = rt.dsm().adaptive_thresholds();
+        let (hi, lo) = rt.dsm().adaptive_thresholds().expect("java_ad has marks");
         assert_eq!(hi, (n_star as f64 * 3.0).ceil() as u64);
         assert_eq!(lo, n_star);
 
-        // Defaults apply when the builder field is left alone.
-        let default_config = config(2, ProtocolKind::JavaAd);
-        assert_eq!(default_config.adaptive, AdaptiveParams::default());
-        assert_eq!(default_config.with_adaptive(tuned.clone()).adaptive, tuned);
+        // Defaults apply when only the protocol is named.
+        assert_eq!(
+            config(2, ProtocolKind::JavaAd).policies.detection,
+            DetectionSpec::Adaptive(AdaptiveParams::default())
+        );
     }
 
     #[test]
     fn adaptive_param_validation_rejects_nonsense() {
-        let mut c = config(2, ProtocolKind::JavaAd);
-        c.adaptive.max_batch_pages = 0;
+        let c = adaptive(AdaptiveParams {
+            max_batch_pages: 0,
+            ..AdaptiveParams::default()
+        });
         assert_eq!(
             c.validate(),
             Err(ConfigError::Policy(PolicyError::ZeroAdaptiveBatch))
         );
-        let mut c = config(2, ProtocolKind::JavaAd);
-        c.adaptive.lo_multiple = 2.0; // >= hi_multiple
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(PolicyError::InvalidHysteresis))
-        );
+        for (hi_multiple, lo_multiple) in [
+            (1.0, 2.0), // lo >= hi
+            (f64::NAN, 0.5),
+            (1.0, f64::NAN),
+            (f64::INFINITY, 0.5),
+        ] {
+            let c = adaptive(AdaptiveParams {
+                hi_multiple,
+                lo_multiple,
+                ..AdaptiveParams::default()
+            });
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::Policy(PolicyError::InvalidHysteresis)),
+                "hi {hi_multiple}, lo {lo_multiple}"
+            );
+        }
+        let c = adaptive(AdaptiveParams {
+            lo_multiple: 2.0,
+            ..AdaptiveParams::default()
+        });
         assert!(format!("{}", c.validate().unwrap_err()).contains("hysteresis"));
         // The wrapped policy error is exposed as the error's source.
         use std::error::Error as _;
@@ -1345,49 +1343,61 @@ mod tests {
 
     #[test]
     fn policy_validation_rejects_illegal_selections_with_named_variants() {
-        // Zero knobs on *enabled* features are policy errors...
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.transport = TransportConfig::latency_hiding();
-        c.transport.migration_streak = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(PolicyError::ZeroMigrationStreak))
-        );
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.transport = TransportConfig::directory();
-        c.transport.hint_window = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(PolicyError::ZeroHintWindow))
-        );
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.transport.max_flush_batch_pages = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(PolicyError::ZeroFlushBatch))
-        );
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.transport.prefetch_hints = true;
-        c.transport.overlapped_fetches = false;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(
-                PolicyError::HintsRequireOverlappedFetches
-            ))
-        );
-        // ...while a zero knob on a *disabled* feature selects a Noop policy
-        // and is fine.
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.transport.migration_streak = 0;
-        assert!(!c.transport.home_migration);
-        assert!(c.validate().is_ok());
+        let pf = || PolicySpec::for_protocol(ProtocolKind::JavaPf);
+        let cases = [
+            (
+                PolicySpec {
+                    migration: MigrationSpec::MajorityVote { streak: 0 },
+                    ..pf()
+                },
+                PolicyError::ZeroMigrationStreak,
+            ),
+            (
+                PolicySpec {
+                    predictor: PredictorSpec::Directory { hint_window: 0 },
+                    ..PolicySpec::directory(ProtocolKind::JavaPf)
+                },
+                PolicyError::ZeroHintWindow,
+            ),
+            (
+                PolicySpec {
+                    flush: FlushSpec::Batched { max_pages: 0 },
+                    ..pf()
+                },
+                PolicyError::ZeroFlushBatch,
+            ),
+            (
+                PolicySpec {
+                    overlapped_fetches: false,
+                    ..PolicySpec::directory(ProtocolKind::JavaPf)
+                },
+                PolicyError::HintsRequireOverlappedFetches,
+            ),
+        ];
+        for (spec, err) in cases {
+            assert_eq!(
+                config(2, ProtocolKind::JavaPf)
+                    .with_policies(spec)
+                    .validate(),
+                Err(ConfigError::Policy(err))
+            );
+        }
+        // Every named mix is legal.
+        for kind in ProtocolKind::all_extended() {
+            for spec in [
+                PolicySpec::for_protocol(kind),
+                PolicySpec::blocking(kind),
+                PolicySpec::latency_hiding(kind),
+                PolicySpec::directory(kind),
+            ] {
+                assert!(config(2, kind).with_policies(spec).validate().is_ok());
+            }
+        }
     }
 
     #[test]
     fn explicit_policies_flow_from_builder_to_the_engine() {
-        use hyperion_dsm::policy::{
-            DetectionSpec, FlushSpec, MigrationSpec, PredictorSpec, ReplicationSpec, TopologySpec,
-        };
+        use hyperion_dsm::policy::{ReplicationSpec, TopologySpec};
         let spec = PolicySpec {
             detection: DetectionSpec::PageProtect,
             predictor: PredictorSpec::Noop,
@@ -1395,6 +1405,7 @@ mod tests {
             flush: FlushSpec::Batched { max_pages: 4 },
             replication: ReplicationSpec::Noop,
             topology: TopologySpec::Flat,
+            overlapped_fetches: false,
         };
         let built = HyperionConfig::builder()
             .cluster(myrinet_200())
@@ -1403,30 +1414,12 @@ mod tests {
             .policies(spec.clone())
             .build()
             .unwrap();
-        assert_eq!(built.policy_spec(), spec);
+        assert_eq!(built.policies, spec);
         let rt = HyperionRuntime::new(built).unwrap();
         assert_eq!(rt.dsm().policies().migration.name(), "mig");
         assert_eq!(rt.dsm().policies().predictor.name(), "nohints");
         assert_eq!(rt.dsm().policies().flush.name(), "sync");
         assert_eq!(rt.dsm().policies().detection.name(), "java_pf");
-
-        // A spec whose detection choice disagrees with `protocol` is
-        // rejected before any cluster state exists.
-        let mismatched = HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(2)
-            .protocol(ProtocolKind::JavaIc)
-            .policies(spec)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            mismatched,
-            ConfigError::PolicyMismatch {
-                protocol: ProtocolKind::JavaIc,
-                policies: ProtocolKind::JavaPf,
-            }
-        );
-        assert!(format!("{mismatched}").contains("java_pf"));
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub use hyperion_pm2 as pm2;
 
 pub use hyperion::prelude;
 pub use hyperion::{
-    myrinet_200, sci_450, ClusterSpec, HyperionConfig, HyperionRuntime, NodeId, ProtocolKind,
-    RunOutcome, RunReport, ThreadCtx, TransportBackend, TransportConfig, VTime,
+    myrinet_200, sci_450, ClusterSpec, HyperionConfig, HyperionRuntime, NodeId, PolicySpec,
+    ProtocolKind, RunOutcome, RunReport, ThreadCtx, TransportBackend, TransportConfig, VTime,
     WireServiceSnapshot,
 };

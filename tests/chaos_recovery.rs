@@ -9,16 +9,21 @@
 //! virtual instant, with quorum replication armed so a killed home can be
 //! re-elected.  Each faulted digest is compared against the fault-free run
 //! of the same configuration.  The failing seed is part of every assertion
-//! message; re-running a failure needs nothing but that seed.
+//! message; re-running a failure needs nothing but that seed.  Each faulted
+//! app run executes under a host wall-clock cap, so a run that hangs fails
+//! with its seed and schedule instead of stalling the suite.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hyperion_workspace::apps::common::Benchmark;
 use hyperion_workspace::apps::{asp, barnes, jacobi, kvstore, pi, tsp};
-use hyperion_workspace::dsm::{AdaptiveParams, DsmStore, DsmSystem};
+use hyperion_workspace::dsm::policy::ReplicationSpec;
+use hyperion_workspace::dsm::{DsmStore, DsmSystem, PolicySpec};
 use hyperion_workspace::model::{myrinet_200, ThreadClock, VTime};
 use hyperion_workspace::pm2::{
     Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, RetryPolicy, TransportBackend,
@@ -38,29 +43,83 @@ fn property(cases: u64, body: impl Fn(u64, &mut StdRng)) {
     }
 }
 
-fn all_benchmarks() -> Vec<Box<dyn Benchmark>> {
+fn all_benchmarks() -> Vec<Arc<dyn Benchmark>> {
     vec![
-        Box::new(pi::PiParams::quick()),
-        Box::new(jacobi::JacobiParams::quick()),
-        Box::new(barnes::BarnesParams::quick()),
-        Box::new(tsp::TspParams::quick()),
-        Box::new(asp::AspParams::quick()),
+        Arc::new(pi::PiParams::quick()),
+        Arc::new(jacobi::JacobiParams::quick()),
+        Arc::new(barnes::BarnesParams::quick()),
+        Arc::new(tsp::TspParams::quick()),
+        Arc::new(asp::AspParams::quick()),
     ]
 }
 
 fn execute(
     bench: &dyn Benchmark,
-    protocol: ProtocolKind,
-    transport: &TransportConfig,
+    policies: PolicySpec,
+    transport: TransportConfig,
 ) -> (f64, RunReport) {
     let config = HyperionConfig::builder()
         .cluster(myrinet_200())
         .nodes(NODES)
-        .protocol(protocol)
-        .transport(transport.clone())
+        .policies(policies)
+        .transport(transport)
         .build()
         .expect("valid chaos configuration");
     bench.execute(config)
+}
+
+/// `protocol`'s default policies plus the `2r/2w` quorum replication that
+/// lets a killed home be re-elected.
+fn quorum(protocol: ProtocolKind) -> PolicySpec {
+    PolicySpec {
+        replication: ReplicationSpec::Quorum {
+            read_replicas: 2,
+            write_quorum: 2,
+        },
+        ..PolicySpec::for_protocol(protocol)
+    }
+}
+
+/// Host wall-clock cap on one faulted quick-scale app run.  Such a run
+/// takes well under a second even in a debug build; the cap only has to
+/// tell a hang from a slow host.
+const FAULTED_RUN_CAP: Duration = Duration::from_secs(60);
+
+/// Run `bench` under `spec` (with quorum replication) on a helper thread
+/// and wait at most [`FAULTED_RUN_CAP`] for it.  A run that hangs or
+/// panics fails the test with its seed and fault schedule, so the failure
+/// is named and replayable; a hung helper thread is abandoned and dies
+/// with the test process.
+fn execute_faulted(
+    bench: &Arc<dyn Benchmark>,
+    protocol: ProtocolKind,
+    seed: u64,
+    spec: FaultSpec,
+) -> (f64, RunReport) {
+    let (tx, rx) = mpsc::channel();
+    let run = Arc::clone(bench);
+    std::thread::spawn(move || {
+        let transport = TransportConfig {
+            fault: Some(spec),
+            ..TransportConfig::default()
+        };
+        // A send error only means the waiter already gave up.
+        let _ = tx.send(execute(run.as_ref(), quorum(protocol), transport));
+    });
+    let what = format!(
+        "{} under {} with seed {seed} / spec `{spec}`",
+        bench.name(),
+        protocol.name()
+    );
+    match rx.recv_timeout(FAULTED_RUN_CAP) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{what}: run still going after {FAULTED_RUN_CAP:?}, presumed hung")
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            panic!("{what}: run panicked (its message is printed above)")
+        }
+    }
 }
 
 /// A random — but valid — fault schedule: moderate drop/dup/panic rates, a
@@ -101,7 +160,11 @@ fn seeded_fault_schedules_preserve_all_digests() {
     ];
     for bench in all_benchmarks() {
         for protocol in protocols {
-            let (reference, _) = execute(bench.as_ref(), protocol, &TransportConfig::default());
+            let (reference, _) = execute(
+                bench.as_ref(),
+                PolicySpec::for_protocol(protocol),
+                TransportConfig::default(),
+            );
             // Pi's global sum accumulates thread contributions in monitor
             // acquisition order, so its digest is only reproducible to
             // floating-point re-association; every other app is
@@ -109,12 +172,7 @@ fn seeded_fault_schedules_preserve_all_digests() {
             let tolerance = reference.abs().max(1.0) * 1e-9;
             property(3, |seed, rng| {
                 let spec = random_spec(rng);
-                let transport = TransportConfig {
-                    fault: Some(spec),
-                    replication: Some((2, 2)),
-                    ..TransportConfig::default()
-                };
-                let (digest, report) = execute(bench.as_ref(), protocol, &transport);
+                let (digest, report) = execute_faulted(&bench, protocol, seed, spec);
                 assert!(
                     (digest - reference).abs() <= tolerance,
                     "{} under {} diverged with seed {seed} / spec `{spec}`: \
@@ -147,8 +205,12 @@ fn seeded_fault_schedules_preserve_all_digests() {
 /// may neither drop nor double-count a serving operation.
 #[test]
 fn kv_store_kill_schedules_preserve_digest_and_op_count() {
-    let bench = kvstore::KvStoreParams::quick();
-    let (reference, clean) = execute(&bench, ProtocolKind::JavaAd, &TransportConfig::default());
+    let bench: Arc<dyn Benchmark> = Arc::new(kvstore::KvStoreParams::quick());
+    let (reference, clean) = execute(
+        bench.as_ref(),
+        PolicySpec::for_protocol(ProtocolKind::JavaAd),
+        TransportConfig::default(),
+    );
     let expected_ops = clean.total_stats().serving_ops;
     assert!(expected_ops > 0, "quick KV run recorded no serving ops");
     property(3, |seed, rng| {
@@ -157,12 +219,7 @@ fn kv_store_kill_schedules_preserve_digest_and_op_count() {
             node: rng.gen_range(0..NODES as u32),
             at: VTime::from_us(rng.gen_range(100..2_000)),
         });
-        let transport = TransportConfig {
-            fault: Some(spec),
-            replication: Some((2, 2)),
-            ..TransportConfig::default()
-        };
-        let (digest, report) = execute(&bench, ProtocolKind::JavaAd, &transport);
+        let (digest, report) = execute_faulted(&bench, ProtocolKind::JavaAd, seed, spec);
         assert!(
             (digest - reference).abs() <= reference.abs().max(1.0) * 1e-9,
             "KVStore diverged with seed {seed} / spec `{spec}`: \
@@ -192,8 +249,9 @@ fn identical_specs_replay_identical_fault_counters() {
         ..TransportConfig::default()
     };
     let bench = jacobi::JacobiParams::quick();
-    let (da, ra) = execute(&bench, ProtocolKind::JavaPf, &transport);
-    let (db, rb) = execute(&bench, ProtocolKind::JavaPf, &transport);
+    let pf = || PolicySpec::for_protocol(ProtocolKind::JavaPf);
+    let (da, ra) = execute(&bench, pf(), transport.clone());
+    let (db, rb) = execute(&bench, pf(), transport);
     assert_eq!(da.to_bits(), db.to_bits());
     let (a, b) = (ra.total_stats(), rb.total_stats());
     assert_eq!(a.frames_dropped_injected, b.frames_dropped_injected);
@@ -203,11 +261,12 @@ fn identical_specs_replay_identical_fault_counters() {
 
 // ----- exact-counter unit suite --------------------------------------------
 
-/// A DSM system over a fault-injecting transport, with one page homed on
-/// each node.
+/// A `java_ic` DSM system over a fault-injecting transport, with one page
+/// homed on each node.
 fn build_faulty_dsm(
     nodes: usize,
     spec: FaultSpec,
+    policies: &PolicySpec,
     transport: &TransportConfig,
 ) -> (Arc<DsmSystem>, Vec<GlobalAddr>) {
     let cluster = Cluster::for_backend_with_faults(
@@ -218,13 +277,7 @@ fn build_faulty_dsm(
     );
     let alloc = Arc::new(IsoAllocator::new(nodes));
     let store = DsmStore::new(Arc::clone(&alloc), nodes);
-    let dsm = DsmSystem::with_config(
-        cluster,
-        store,
-        ProtocolKind::JavaIc,
-        &AdaptiveParams::default(),
-        transport,
-    );
+    let dsm = DsmSystem::new(cluster, store, policies, transport);
     let addrs = (0..nodes)
         .map(|home| alloc.alloc_page_aligned(4, NodeId(home as u32)))
         .collect();
@@ -241,8 +294,12 @@ fn dropped_frames_are_retried_and_counted_exactly() {
         drop_first: 2,
         ..FaultSpec::default()
     };
-    let transport = TransportConfig::default();
-    let (dsm, addrs) = build_faulty_dsm(2, spec, &transport);
+    let (dsm, addrs) = build_faulty_dsm(
+        2,
+        spec,
+        &PolicySpec::for_protocol(ProtocolKind::JavaIc),
+        &TransportConfig::default(),
+    );
     let mut clock0 = ThreadClock::new();
     dsm.put(NodeId(0), &mut clock0, addrs[0], 9);
 
@@ -287,7 +344,12 @@ fn exhausted_retry_budget_dies_with_service_context() {
         },
         ..TransportConfig::default()
     };
-    let (dsm, addrs) = build_faulty_dsm(2, spec, &transport);
+    let (dsm, addrs) = build_faulty_dsm(
+        2,
+        spec,
+        &PolicySpec::for_protocol(ProtocolKind::JavaIc),
+        &transport,
+    );
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut clock = ThreadClock::new();
         dsm.get(NodeId(1), &mut clock, addrs[0])
@@ -321,11 +383,12 @@ fn killed_home_is_reelected_from_the_newest_quorum_replica() {
         }),
         ..FaultSpec::default()
     };
-    let transport = TransportConfig {
-        replication: Some((2, 2)),
-        ..TransportConfig::default()
-    };
-    let (dsm, addrs) = build_faulty_dsm(3, spec, &transport);
+    let (dsm, addrs) = build_faulty_dsm(
+        3,
+        spec,
+        &quorum(ProtocolKind::JavaIc),
+        &TransportConfig::default(),
+    );
     let page = addrs[0].page();
 
     // Node 0 (the home) seeds the page; node 1 reads it — becoming a
@@ -389,11 +452,12 @@ fn unreplicated_pages_fall_back_to_the_lowest_live_node() {
         }),
         ..FaultSpec::default()
     };
-    let transport = TransportConfig {
-        replication: Some((2, 2)),
-        ..TransportConfig::default()
-    };
-    let (dsm, addrs) = build_faulty_dsm(3, spec, &transport);
+    let (dsm, addrs) = build_faulty_dsm(
+        3,
+        spec,
+        &quorum(ProtocolKind::JavaIc),
+        &TransportConfig::default(),
+    );
     let page = addrs[1].page();
 
     // Node 1 seeds its own page locally (home writes need no RPC), then is

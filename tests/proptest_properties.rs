@@ -23,7 +23,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hyperion_workspace::dsm::{DsmStore, DsmSystem, ProtocolKind, TransportConfig};
+use hyperion_workspace::dsm::{DsmStore, DsmSystem, PolicySpec, ProtocolKind, TransportConfig};
 use hyperion_workspace::model::{myrinet_200, StatsSnapshot, ThreadClock, VTime};
 use hyperion_workspace::pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, PageId};
 
@@ -143,7 +143,12 @@ fn build_dsm(
     let cluster = Cluster::new(myrinet_200().machine, nodes);
     let alloc = Arc::new(IsoAllocator::new(nodes));
     let store = DsmStore::new(Arc::clone(&alloc), nodes);
-    let dsm = DsmSystem::new(cluster, store, protocol);
+    let dsm = DsmSystem::new(
+        cluster,
+        store,
+        &PolicySpec::for_protocol(protocol),
+        &TransportConfig::default(),
+    );
     let mut addrs = Vec::new();
     let mut homes = Vec::new();
     for home in 0..nodes {
@@ -237,12 +242,11 @@ fn dsm_matches_the_consistency_specification_under_directory_transport() {
             let cluster = Cluster::new(myrinet_200().machine, nodes);
             let alloc = Arc::new(IsoAllocator::new(nodes));
             let store = DsmStore::new(Arc::clone(&alloc), nodes);
-            let dsm = DsmSystem::with_config(
+            let dsm = DsmSystem::new(
                 cluster,
                 store,
-                protocol,
-                &hyperion_workspace::dsm::AdaptiveParams::default(),
-                &TransportConfig::directory(),
+                &PolicySpec::directory(protocol),
+                &TransportConfig::default(),
             );
             let mut addrs = Vec::new();
             let mut homes = Vec::new();
@@ -317,15 +321,16 @@ fn app_digests_are_invariant_under_the_directory_transport() {
     use hyperion_workspace::apps::{asp, jacobi};
     use hyperion_workspace::HyperionConfig;
 
-    let config = |transport: &TransportConfig| {
+    let config = |policies: PolicySpec| {
         HyperionConfig::builder()
             .cluster(myrinet_200())
             .nodes(3)
-            .protocol(ProtocolKind::JavaPf)
-            .transport(transport.clone())
+            .policies(policies)
             .build()
             .expect("valid property configuration")
     };
+    let plain = || PolicySpec::for_protocol(ProtocolKind::JavaPf);
+    let directory = || PolicySpec::directory(ProtocolKind::JavaPf);
     property(4, |seed, rng| {
         // Sizes chosen so rows regularly span page boundaries (the pattern
         // that draws successor-pair hints) without making the run slow.
@@ -333,8 +338,8 @@ fn app_digests_are_invariant_under_the_directory_transport() {
             size: 40 + rng.gen_range(0u64..5) as usize * 10,
             steps: 3 + rng.gen_range(0u64..3) as usize,
         };
-        let base = jacobi::run(config(&TransportConfig::default()), &jacobi_params);
-        let dir = jacobi::run(config(&TransportConfig::directory()), &jacobi_params);
+        let base = jacobi::run(config(plain()), &jacobi_params);
+        let dir = jacobi::run(config(directory()), &jacobi_params);
         assert_eq!(
             base.result, dir.result,
             "seed {seed}: directory transport changed Jacobi's answer ({jacobi_params:?})"
@@ -345,8 +350,8 @@ fn app_digests_are_invariant_under_the_directory_transport() {
             seed: seed.wrapping_mul(0x9E37_79B9).wrapping_add(7),
             edge_percent: 20 + rng.gen_range(0u64..40) as u32,
         };
-        let base = asp::run(config(&TransportConfig::default()), &asp_params);
-        let dir = asp::run(config(&TransportConfig::directory()), &asp_params);
+        let base = asp::run(config(plain()), &asp_params);
+        let dir = asp::run(config(directory()), &asp_params);
         assert_eq!(
             base.result, dir.result,
             "seed {seed}: directory transport changed ASP's answer ({asp_params:?})"

@@ -21,26 +21,22 @@
 
 use hyperion_workspace::apps::common::Benchmark;
 use hyperion_workspace::apps::{asp, barnes, graph, jacobi, kvstore, pi, tsp};
-use hyperion_workspace::dsm::policy::{
-    DetectionSpec, FlushSpec, MigrationSpec, PolicySpec, PredictorSpec, ReplicationSpec,
-    TopologySpec,
-};
-use hyperion_workspace::dsm::AdaptiveParams;
+use hyperion_workspace::dsm::policy::{FlushSpec, MigrationSpec, PolicySpec};
 use hyperion_workspace::prelude::*;
 use hyperion_workspace::{HyperionConfig, ProtocolKind, TransportBackend, TransportConfig};
 
 const NODES: usize = 3;
 
-/// The transport the suite treats as its default.  CI re-runs the whole
+/// The policy mix the suite treats as its default.  CI re-runs the whole
 /// suite once with `HYPERION_EQUIV_TRANSPORT` set to a non-default —
 /// but semantics-preserving — policy mix, so every equivalence property is
 /// also exercised with the latency-hiding / directory policies selected.
-fn base_transport() -> TransportConfig {
+fn base_spec(protocol: ProtocolKind) -> PolicySpec {
     match std::env::var("HYPERION_EQUIV_TRANSPORT").as_deref() {
-        Ok("latency-hiding") => TransportConfig::latency_hiding(),
-        Ok("directory") => TransportConfig::directory(),
+        Ok("latency-hiding") => PolicySpec::latency_hiding(protocol),
+        Ok("directory") => PolicySpec::directory(protocol),
         Ok(other) => panic!("unknown HYPERION_EQUIV_TRANSPORT policy mix `{other}`"),
-        Err(_) => TransportConfig::default(),
+        Err(_) => PolicySpec::for_protocol(protocol),
     }
 }
 
@@ -67,39 +63,27 @@ fn serving_benchmarks() -> Vec<Box<dyn Benchmark>> {
     ]
 }
 
+fn config(policies: PolicySpec, backend: TransportBackend) -> ConfigBuilder {
+    HyperionConfig::builder()
+        .cluster(myrinet_200())
+        .nodes(NODES)
+        .policies(policies)
+        .transport(TransportConfig {
+            backend,
+            ..TransportConfig::default()
+        })
+}
+
 fn execute(bench: &dyn Benchmark, protocol: ProtocolKind) -> (f64, RunReport) {
-    execute_with(bench, protocol, &base_transport())
+    execute_with(bench, base_spec(protocol), TransportBackend::Sim)
 }
 
 fn execute_with(
     bench: &dyn Benchmark,
-    protocol: ProtocolKind,
-    transport: &TransportConfig,
-) -> (f64, RunReport) {
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(NODES)
-        .protocol(protocol)
-        .transport(transport.clone())
-        .build()
-        .expect("valid test configuration");
-    bench.execute(config)
-}
-
-/// Like [`execute_with`] but with an explicit [`PolicySpec`] on top of the
-/// transport — the typed surface the policy layer added.
-fn execute_with_policies(
-    bench: &dyn Benchmark,
-    protocol: ProtocolKind,
-    transport: &TransportConfig,
     policies: PolicySpec,
+    backend: TransportBackend,
 ) -> (f64, RunReport) {
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(NODES)
-        .protocol(protocol)
-        .transport(transport.clone())
-        .policies(policies)
+    let config = config(policies, backend)
         .build()
         .expect("valid test configuration");
     bench.execute(config)
@@ -108,16 +92,8 @@ fn execute_with_policies(
 /// Like [`execute_with`] but with conservative pacing disabled — used for
 /// wall-time comparisons of the statically partitioned apps, where pacing
 /// only injects host-scheduling noise into the modeled times.
-fn execute_unpaced(
-    bench: &dyn Benchmark,
-    protocol: ProtocolKind,
-    transport: &TransportConfig,
-) -> (f64, RunReport) {
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(NODES)
-        .protocol(protocol)
-        .transport(transport.clone())
+fn execute_unpaced(bench: &dyn Benchmark, policies: PolicySpec) -> (f64, RunReport) {
+    let config = config(policies, TransportBackend::Sim)
         .pacing_window(None)
         .build()
         .expect("valid test configuration");
@@ -154,10 +130,6 @@ fn serving_apps_preserve_digests_across_protocols_and_backends() {
     // be bit-for-bit reproducible across all three protocols and across the
     // in-process simulator vs the Unix-domain socket backend — and every
     // run must actually report serving ops with a non-zero modeled p99.
-    let socket = TransportConfig {
-        backend: TransportBackend::UnixSocket,
-        ..TransportConfig::default()
-    };
     for bench in serving_benchmarks() {
         let (reference, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
         let tolerance = reference.abs().max(1.0) * 1e-9;
@@ -166,11 +138,12 @@ fn serving_apps_preserve_digests_across_protocols_and_backends() {
             ProtocolKind::JavaPf,
             ProtocolKind::JavaAd,
         ] {
-            for (label, transport) in [
-                ("sim", TransportConfig::default()),
-                ("socket", socket.clone()),
+            for (label, backend) in [
+                ("sim", TransportBackend::Sim),
+                ("socket", TransportBackend::UnixSocket),
             ] {
-                let (digest, report) = execute_with(bench.as_ref(), protocol, &transport);
+                let (digest, report) =
+                    execute_with(bench.as_ref(), PolicySpec::for_protocol(protocol), backend);
                 assert!(
                     (digest - reference).abs() <= tolerance,
                     "{}/{} ({label}): digest {digest} diverged from the ic/sim \
@@ -269,11 +242,18 @@ fn all_three_protocols_compute_identical_results_under_latency_hiding_transport(
     // Overlapped fetches, batched diff flushing and home migration all on:
     // the transport may change *when* latency is charged and *how many*
     // RPCs carry the bytes, never what a program computes.
-    let transport = TransportConfig::latency_hiding();
+    let run = |bench: &dyn Benchmark, protocol| {
+        execute_with(
+            bench,
+            PolicySpec::latency_hiding(protocol),
+            TransportBackend::Sim,
+        )
+        .0
+    };
     for bench in all_benchmarks() {
-        let (ic, _) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &transport);
-        let (pf, _) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &transport);
-        let (ad, _) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &transport);
+        let ic = run(bench.as_ref(), ProtocolKind::JavaIc);
+        let pf = run(bench.as_ref(), ProtocolKind::JavaPf);
+        let ad = run(bench.as_ref(), ProtocolKind::JavaAd);
         // And each must agree with the blocking transport's answer.
         let (blocking, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
         let tolerance = ic.abs().max(1.0) * 1e-9;
@@ -301,16 +281,16 @@ fn overlapped_transport_never_costs_wall_time_over_blocking() {
     // * Jacobi and ASP do open windows; their modeled times are compared
     //   directly, unpaced (they divide work statically, so pacing only adds
     //   host-scheduling noise), strictly first and in aggregate on a miss.
-    let overlapped = TransportConfig {
+    let overlapped = PolicySpec {
         overlapped_fetches: true,
-        ..TransportConfig::default()
+        ..PolicySpec::for_protocol(ProtocolKind::JavaPf)
     };
     for bench in [
         Box::new(pi::PiParams::quick()) as Box<dyn Benchmark>,
         Box::new(tsp::TspParams::quick()),
         Box::new(barnes::BarnesParams::quick()),
     ] {
-        let (_, split) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &overlapped);
+        let (_, split) = execute_with(bench.as_ref(), overlapped.clone(), TransportBackend::Sim);
         assert_eq!(
             split.total_stats().fetch_overlap_cycles_hidden,
             0,
@@ -326,10 +306,9 @@ fn overlapped_transport_never_costs_wall_time_over_blocking() {
         let round = || {
             let (_, blocking) = execute_unpaced(
                 bench.as_ref(),
-                ProtocolKind::JavaPf,
-                &TransportConfig::default(),
+                PolicySpec::for_protocol(ProtocolKind::JavaPf),
             );
-            let (_, split) = execute_unpaced(bench.as_ref(), ProtocolKind::JavaPf, &overlapped);
+            let (_, split) = execute_unpaced(bench.as_ref(), overlapped.clone());
             (
                 blocking.execution_time.as_secs_f64(),
                 split.execution_time.as_secs_f64(),
@@ -367,16 +346,16 @@ fn home_migration_preserves_results_and_bounds_diff_inflation() {
     // unchanged and that the per-page exponential back-off keeps any such
     // inflation bounded — the diff traffic may not blow past 2× the
     // baseline on any app.
-    let migrating = TransportConfig {
-        home_migration: true,
-        ..TransportConfig::default()
+    let migrating = PolicySpec {
+        migration: MigrationSpec::MajorityVote { streak: 3 },
+        ..PolicySpec::for_protocol(ProtocolKind::JavaAd)
     };
     for bench in all_benchmarks() {
         let mut base_total = 0u64;
         let mut mig_total = 0u64;
         for _ in 0..3 {
             let (d0, base) = execute(bench.as_ref(), ProtocolKind::JavaAd);
-            let (d1, mig) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &migrating);
+            let (d1, mig) = execute_with(bench.as_ref(), migrating.clone(), TransportBackend::Sim);
             assert!(
                 (d0 - d1).abs() <= d0.abs().max(1.0) * 1e-9,
                 "{}: migration changed the answer",
@@ -399,11 +378,18 @@ fn all_three_protocols_compute_identical_results_under_directory_transport() {
     // The prefetch directory (cluster-wide hints converted to in-flight
     // tickets) and deferred release flushing both only move *when* latency
     // is charged; neither may be observable at the application level.
-    let transport = TransportConfig::directory();
+    let run = |bench: &dyn Benchmark, protocol| {
+        execute_with(
+            bench,
+            PolicySpec::directory(protocol),
+            TransportBackend::Sim,
+        )
+        .0
+    };
     for bench in all_benchmarks() {
-        let (ic, _) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &transport);
-        let (pf, _) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &transport);
-        let (ad, _) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &transport);
+        let ic = run(bench.as_ref(), ProtocolKind::JavaIc);
+        let pf = run(bench.as_ref(), ProtocolKind::JavaPf);
+        let ad = run(bench.as_ref(), ProtocolKind::JavaAd);
         // And each must agree with the blocking transport's answer.
         let (blocking, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
         let tolerance = ic.abs().max(1.0) * 1e-9;
@@ -425,9 +411,12 @@ fn directory_hint_waste_stays_within_an_eighth_of_hints_sent() {
     // irregular traversal yields only a couple dozen hints at quick scale,
     // and a few unlucky conversions must not trip the ratio on a sample
     // that small).
-    let transport = TransportConfig::directory();
     for bench in all_benchmarks().into_iter().chain(serving_benchmarks()) {
-        let (_, report) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &transport);
+        let (_, report) = execute_with(
+            bench.as_ref(),
+            PolicySpec::directory(ProtocolKind::JavaPf),
+            TransportBackend::Sim,
+        );
         let total = report.total_stats();
         assert!(
             total.hinted_fetches_wasted * 8 <= total.hints_sent.max(32),
@@ -454,10 +443,6 @@ fn socket_transport_preserves_every_digest() {
     // payloads and charges the same caller-side virtual-time costs as the
     // in-process simulator — so every app must produce the same digest
     // under every protocol, and the run must report real wire traffic.
-    let socket = TransportConfig {
-        backend: TransportBackend::UnixSocket,
-        ..TransportConfig::default()
-    };
     for bench in all_benchmarks() {
         for protocol in [
             ProtocolKind::JavaIc,
@@ -465,7 +450,11 @@ fn socket_transport_preserves_every_digest() {
             ProtocolKind::JavaAd,
         ] {
             let (sim_digest, _) = execute(bench.as_ref(), protocol);
-            let (sock_digest, report) = execute_with(bench.as_ref(), protocol, &socket);
+            let (sock_digest, report) = execute_with(
+                bench.as_ref(),
+                PolicySpec::for_protocol(protocol),
+                TransportBackend::UnixSocket,
+            );
             let tolerance = sim_digest.abs().max(1.0) * 1e-9;
             assert!(
                 (sim_digest - sock_digest).abs() <= tolerance,
@@ -492,13 +481,13 @@ fn deferred_release_flushing_preserves_every_answer() {
     // Deferred flushing re-times the release-side diff RPCs (completion at
     // the next acquire of the same monitor); the bytes, their application
     // order at the homes, and therefore every answer must be unchanged.
-    let deferred = TransportConfig {
-        deferred_flush: true,
-        ..TransportConfig::default()
+    let deferred = PolicySpec {
+        flush: FlushSpec::Deferred { max_pages: 8 },
+        ..PolicySpec::for_protocol(ProtocolKind::JavaPf)
     };
     for bench in all_benchmarks() {
         let (base, _) = execute(bench.as_ref(), ProtocolKind::JavaPf);
-        let (defer, report) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &deferred);
+        let (defer, report) = execute_with(bench.as_ref(), deferred.clone(), TransportBackend::Sim);
         assert!(
             (base - defer).abs() <= base.abs().max(1.0) * 1e-9,
             "{}: deferred flushing changed the answer ({base} vs {defer})",
@@ -539,45 +528,67 @@ fn adaptive_speculation_waste_stays_throttled() {
     }
 }
 
-/// The Noop/synchronous policy selection equivalent to every mechanism
-/// flag being off, with the detection policy matching `protocol`.
-fn noop_spec(protocol: ProtocolKind) -> PolicySpec {
-    PolicySpec {
-        detection: match protocol {
-            ProtocolKind::JavaIc => DetectionSpec::InlineCheck,
-            ProtocolKind::JavaPf => DetectionSpec::PageProtect,
-            ProtocolKind::JavaAd => DetectionSpec::Adaptive(AdaptiveParams::default()),
-        },
-        predictor: PredictorSpec::Noop,
-        migration: MigrationSpec::Noop,
-        flush: FlushSpec::Batched { max_pages: 1 },
-        replication: ReplicationSpec::Noop,
-        topology: TopologySpec::Flat,
-    }
-}
+/// One golden row: the protocol, the workload's result, its modeled end
+/// time in picoseconds, and every non-zero counter of nodes 0, 1 and 2.
+type GoldenRow = (
+    ProtocolKind,
+    u64,
+    u64,
+    [&'static [(&'static str, u64)]; NODES],
+);
+
+/// [`deterministic_workload`] under the paper's blocking transport, as
+/// recorded from the engine built from the former flag surface
+/// (`TransportConfig::blocking()` plus a protocol, before the flags were
+/// folded into `PolicySpec`).  The recording was identical on the
+/// simulator and the Unix-socket backend.  Counters not listed were zero.
+#[rustfmt::skip]
+const GOLDEN_BLOCKING: [GoldenRow; 3] = [
+    (ProtocolKind::JavaIc, 2_038_320, 2_047_151_992, [
+        &[("locality_checks", 4224), ("page_loads", 16), ("pages_invalidated", 12),
+          ("cache_invalidations", 4), ("diff_messages", 16), ("diff_slots_flushed", 2112),
+          ("rpc_requests", 32), ("bytes_sent", 23488), ("bytes_received", 67584),
+          ("monitor_enters", 4), ("monitor_exits", 4), ("remote_monitor_acquires", 4),
+          ("threads_spawned", 1), ("field_reads", 2112), ("field_writes", 2112),
+          ("diff_bytes", 21312)],
+        &[("rpc_served", 24), ("bytes_sent", 50688), ("bytes_received", 2416)],
+        &[("rpc_served", 8), ("bytes_sent", 16896), ("bytes_received", 21072)],
+    ]),
+    (ProtocolKind::JavaPf, 2_038_320, 2_462_431_992, [
+        &[("page_faults", 16), ("mprotect_calls", 19), ("page_loads", 16),
+          ("pages_invalidated", 12), ("cache_invalidations", 4), ("diff_messages", 16),
+          ("diff_slots_flushed", 2112), ("rpc_requests", 32), ("bytes_sent", 23488),
+          ("bytes_received", 67584), ("monitor_enters", 4), ("monitor_exits", 4),
+          ("remote_monitor_acquires", 4), ("threads_spawned", 1), ("field_reads", 2112),
+          ("field_writes", 2112), ("diff_bytes", 21312)],
+        &[("rpc_served", 24), ("bytes_sent", 50688), ("bytes_received", 2416)],
+        &[("rpc_served", 8), ("bytes_sent", 16896), ("bytes_received", 21072)],
+    ]),
+    (ProtocolKind::JavaAd, 2_038_320, 1_987_707_992, [
+        &[("locality_checks", 4224), ("page_loads", 16), ("pages_invalidated", 12),
+          ("cache_invalidations", 4), ("diff_messages", 16), ("diff_slots_flushed", 2112),
+          ("rpc_requests", 30), ("bytes_sent", 23348), ("bytes_received", 67456),
+          ("monitor_enters", 4), ("monitor_exits", 4), ("remote_monitor_acquires", 4),
+          ("threads_spawned", 1), ("field_reads", 2112), ("field_writes", 2112),
+          ("batched_fetches", 1), ("pages_prefetched", 2), ("pages_prefetch_speculative", 2),
+          ("diff_bytes", 21312)],
+        &[("rpc_served", 22), ("bytes_sent", 50560), ("bytes_received", 2276)],
+        &[("rpc_served", 8), ("bytes_sent", 16896), ("bytes_received", 21072)],
+    ]),
+];
 
 /// A fixed, single-threaded access pattern: two remote multi-page arrays
 /// read and written across four monitor epochs.  It exercises page
 /// fetches, field-granularity diffs, invalidation epochs and — under
 /// `java_ad` — per-page mode switches and batched speculative fetches.
-/// With one OS thread the whole event sequence is deterministic, so two
-/// runs of equivalent configurations must agree in *every* stat counter,
-/// not just in aggregate.
-fn deterministic_workload(
-    protocol: ProtocolKind,
-    transport: &TransportConfig,
-    policies: Option<PolicySpec>,
-) -> (u64, RunReport) {
+/// With one OS thread the whole event sequence is deterministic, so a run
+/// must reproduce *every* stat counter of a recorded run, not just an
+/// aggregate.
+fn deterministic_workload(policies: PolicySpec, backend: TransportBackend) -> (u64, RunReport) {
     use hyperion_workspace::pm2::SLOTS_PER_PAGE;
-    let mut builder = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(NODES)
-        .protocol(protocol)
-        .transport(transport.clone());
-    if let Some(spec) = policies {
-        builder = builder.policies(spec);
-    }
-    let config = builder.build().expect("valid test configuration");
+    let config = config(policies, backend)
+        .build()
+        .expect("valid test configuration");
     let rt = HyperionRuntime::new(config).expect("valid test runtime");
     let outcome = rt.run(|ctx| {
         let slots = (3 * SLOTS_PER_PAGE) as u64;
@@ -607,52 +618,38 @@ fn deterministic_workload(
 
 #[test]
 fn noop_policies_are_byte_identical_to_disabled_flags() {
-    // The legacy flag surface disables a mechanism by leaving its boolean
-    // off; the policy surface disables it by selecting the `Noop` policy
-    // (or the unbatched synchronous flush).  Both must drive the engine
-    // down exactly the same path.  The deterministic single-threaded
-    // workload pins that down to the strongest possible claim — every one
-    // of the stat counters byte-identical, per node, under all three
-    // protocols, on the in-process simulator and behind a real socket
-    // alike.  (The five benchmark apps run real threads, whose host
-    // interleaving perturbs even cluster-wide counter totals between runs
-    // of the *same* configuration; see
-    // `noop_policies_preserve_every_app_digest` for the app-level claim.)
+    // The former flag surface disabled a mechanism by leaving its boolean
+    // off; `PolicySpec::blocking` disables it by selecting the `Noop`
+    // policy (and the unbatched synchronous flush).  The golden table was
+    // recorded from the flag path, so reproducing it proves both drive the
+    // engine down exactly the same path: the result, the modeled end time
+    // and every stat counter, per node, under all three protocols, on the
+    // in-process simulator and behind a real socket alike.  (The five
+    // benchmark apps run real threads, whose host interleaving perturbs
+    // even cluster-wide counter totals between runs of the *same*
+    // configuration; see `noop_policies_preserve_every_app_digest` for the
+    // app-level claim.)
     for backend in [TransportBackend::Sim, TransportBackend::UnixSocket] {
-        let transport = TransportConfig {
-            backend,
-            ..TransportConfig::blocking()
-        };
-        for protocol in [
-            ProtocolKind::JavaIc,
-            ProtocolKind::JavaPf,
-            ProtocolKind::JavaAd,
-        ] {
-            let (flag_result, flag_report) = deterministic_workload(protocol, &transport, None);
-            let (policy_result, policy_report) =
-                deterministic_workload(protocol, &transport, Some(noop_spec(protocol)));
+        for (protocol, result, end_ps, golden_nodes) in GOLDEN_BLOCKING {
+            let (got, report) = deterministic_workload(PolicySpec::blocking(protocol), backend);
+            let label = format!("{}/{backend:?}", protocol.name());
+            assert_eq!(got, result, "{label}: computed result");
             assert_eq!(
-                flag_result,
-                policy_result,
-                "{}/{backend:?}: Noop policies changed the computed result",
-                protocol.name()
+                report.execution_time.as_ps(),
+                end_ps,
+                "{label}: modeled end time"
             );
-            assert_eq!(flag_report.node_stats.len(), policy_report.node_stats.len());
-            for (node, (flags, policies)) in flag_report
-                .node_stats
-                .iter()
-                .zip(&policy_report.node_stats)
-                .enumerate()
-            {
-                for ((counter, by_flag), (_, by_policy)) in
-                    flags.fields().into_iter().zip(policies.fields())
-                {
+            assert_eq!(report.node_stats.len(), NODES, "{label}");
+            for (node, (stats, golden)) in report.node_stats.iter().zip(golden_nodes).enumerate() {
+                for (counter, value) in stats.fields() {
+                    let want = golden
+                        .iter()
+                        .find(|(name, _)| *name == counter)
+                        .map_or(0, |&(_, v)| v);
                     assert_eq!(
-                        by_flag,
-                        by_policy,
-                        "{}/{backend:?} node {node}: `{counter}` differs between \
-                         the disabled-flag and Noop-policy paths",
-                        protocol.name()
+                        value, want,
+                        "{label} node {node}: `{counter}` differs from the \
+                         disabled-flag recording"
                     );
                 }
             }
@@ -663,11 +660,11 @@ fn noop_policies_are_byte_identical_to_disabled_flags() {
 #[test]
 fn noop_policies_preserve_every_app_digest() {
     // App-level side of the Noop-equivalence claim, on all five benchmarks
-    // under all three protocols: the digest must be unchanged, and every
-    // counter of the mechanisms both surfaces disabled must be exactly
-    // zero on both paths.  (Counter-for-counter equality between two runs
-    // is a single-thread-only property — see
-    // `noop_policies_are_byte_identical_to_disabled_flags`.)
+    // under all three protocols: the all-Noop blocking selection must
+    // compute the same digest as the default selection, and every counter
+    // of the mechanisms it disables must be exactly zero.  (Counter-for-
+    // counter equality between two runs is a single-thread-only property —
+    // see `noop_policies_are_byte_identical_to_disabled_flags`.)
     const DISABLED_MECHANISM_COUNTERS: [&str; 10] = [
         "hints_sent",
         "hinted_fetches_issued",
@@ -680,38 +677,41 @@ fn noop_policies_preserve_every_app_digest() {
         "fetch_overlap_cycles_hidden",
         "flush_overlap_cycles_hidden",
     ];
-    let transport = TransportConfig::blocking();
     for bench in all_benchmarks() {
         for protocol in [
             ProtocolKind::JavaIc,
             ProtocolKind::JavaPf,
             ProtocolKind::JavaAd,
         ] {
-            let (flag_digest, flag_report) = execute_with(bench.as_ref(), protocol, &transport);
-            let (policy_digest, policy_report) =
-                execute_with_policies(bench.as_ref(), protocol, &transport, noop_spec(protocol));
+            let (default_digest, _) = execute_with(
+                bench.as_ref(),
+                PolicySpec::for_protocol(protocol),
+                TransportBackend::Sim,
+            );
+            let (noop_digest, noop_report) = execute_with(
+                bench.as_ref(),
+                PolicySpec::blocking(protocol),
+                TransportBackend::Sim,
+            );
             // Pi's digest accumulates in monitor-acquisition order, so it
             // is only reproducible to float re-association; the others
             // agree exactly but share the check.
-            let tolerance = flag_digest.abs().max(1.0) * 1e-9;
+            let tolerance = default_digest.abs().max(1.0) * 1e-9;
             assert!(
-                (flag_digest - policy_digest).abs() <= tolerance,
-                "{}/{}: flag digest {flag_digest} vs Noop-policy digest {policy_digest}",
+                (default_digest - noop_digest).abs() <= tolerance,
+                "{}/{}: default digest {default_digest} vs Noop-policy digest {noop_digest}",
                 bench.name(),
                 protocol.name()
             );
-            for (label, report) in [("flags", &flag_report), ("policies", &policy_report)] {
-                for (counter, value) in report.total_stats().fields() {
-                    if DISABLED_MECHANISM_COUNTERS.contains(&counter) {
-                        assert_eq!(
-                            value,
-                            0,
-                            "{}/{} ({label}): disabled mechanism counter \
-                             `{counter}` is non-zero",
-                            bench.name(),
-                            protocol.name()
-                        );
-                    }
+            for (counter, value) in noop_report.total_stats().fields() {
+                if DISABLED_MECHANISM_COUNTERS.contains(&counter) {
+                    assert_eq!(
+                        value,
+                        0,
+                        "{}/{}: disabled mechanism counter `{counter}` is non-zero",
+                        bench.name(),
+                        protocol.name()
+                    );
                 }
             }
         }

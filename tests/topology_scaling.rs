@@ -23,10 +23,11 @@
 
 use hyperion_workspace::apps::common::Benchmark;
 use hyperion_workspace::apps::{asp, barnes, graph, jacobi, kvstore, pi, tsp};
+use hyperion_workspace::dsm::policy::{ReplicationSpec, TopologySpec};
 use hyperion_workspace::model::scaled_cluster;
 use hyperion_workspace::pm2::{FaultKill, FaultSpec};
 use hyperion_workspace::prelude::*;
-use hyperion_workspace::{HyperionConfig, ProtocolKind, TransportConfig};
+use hyperion_workspace::{HyperionConfig, PolicySpec, ProtocolKind, TransportConfig};
 
 /// The node counts the hierarchy is built for (the paper's clusters stop at
 /// 12) and the group size used at each: 4 nodes per group at 16 nodes, 8 at
@@ -35,25 +36,25 @@ const SCALES: [(usize, usize); 2] = [(16, 4), (64, 8)];
 
 fn execute(
     bench: &dyn Benchmark,
-    protocol: ProtocolKind,
     nodes: usize,
-    transport: &TransportConfig,
+    policies: PolicySpec,
+    transport: TransportConfig,
 ) -> (f64, RunReport) {
     let config = HyperionConfig::builder()
         .cluster(scaled_cluster(&myrinet_200(), nodes))
         .nodes(nodes)
-        .protocol(protocol)
-        .transport(transport.clone())
+        .policies(policies)
+        .transport(transport)
         .pacing_window(None)
         .build()
         .expect("valid scaling configuration");
     bench.execute(config)
 }
 
-fn grouped(group_size: usize) -> TransportConfig {
-    TransportConfig {
-        group_size,
-        ..TransportConfig::default()
+fn grouped(protocol: ProtocolKind, group_size: usize) -> PolicySpec {
+    PolicySpec {
+        topology: TopologySpec::Grouped { group_size },
+        ..PolicySpec::for_protocol(protocol)
     }
 }
 
@@ -62,8 +63,18 @@ fn grouped(group_size: usize) -> TransportConfig {
 fn assert_digest_invariant(bench: &dyn Benchmark) {
     for (nodes, group_size) in SCALES {
         for protocol in ProtocolKind::all_extended() {
-            let (flat, _) = execute(bench, protocol, nodes, &TransportConfig::default());
-            let (hier, report) = execute(bench, protocol, nodes, &grouped(group_size));
+            let (flat, _) = execute(
+                bench,
+                nodes,
+                PolicySpec::for_protocol(protocol),
+                TransportConfig::default(),
+            );
+            let (hier, report) = execute(
+                bench,
+                nodes,
+                grouped(protocol, group_size),
+                TransportConfig::default(),
+            );
             let tolerance = flat.abs().max(1.0) * 1e-9;
             assert!(
                 (flat - hier).abs() <= tolerance,
@@ -131,11 +142,16 @@ fn grouped_jacobi_combines_and_flattens_the_hot_home() {
     let (nodes, group_size) = (64, 8);
     let (_, flat) = execute(
         &bench,
-        ProtocolKind::JavaPf,
         nodes,
-        &TransportConfig::default(),
+        PolicySpec::for_protocol(ProtocolKind::JavaPf),
+        TransportConfig::default(),
     );
-    let (_, hier) = execute(&bench, ProtocolKind::JavaPf, nodes, &grouped(group_size));
+    let (_, hier) = execute(
+        &bench,
+        nodes,
+        grouped(ProtocolKind::JavaPf, group_size),
+        TransportConfig::default(),
+    );
 
     let peak = |report: &RunReport| {
         report
@@ -172,16 +188,21 @@ fn killing_a_group_leader_degrades_to_direct_rpcs() {
     let (nodes, group_size) = (8, 4);
     let (reference, _) = execute(
         &bench,
-        ProtocolKind::JavaPf,
         nodes,
-        &TransportConfig::default(),
+        PolicySpec::for_protocol(ProtocolKind::JavaPf),
+        TransportConfig::default(),
     );
 
     // Node 4 leads the second group {4..8}.  Kill it mid-exchange with
     // quorum replication armed so its pages can be re-homed.
+    let policies = PolicySpec {
+        replication: ReplicationSpec::Quorum {
+            read_replicas: 2,
+            write_quorum: 2,
+        },
+        ..grouped(ProtocolKind::JavaPf, group_size)
+    };
     let transport = TransportConfig {
-        group_size,
-        replication: Some((2, 2)),
         fault: Some(FaultSpec {
             kill: Some(FaultKill {
                 node: 4,
@@ -191,7 +212,7 @@ fn killing_a_group_leader_degrades_to_direct_rpcs() {
         }),
         ..TransportConfig::default()
     };
-    let (digest, report) = execute(&bench, ProtocolKind::JavaPf, nodes, &transport);
+    let (digest, report) = execute(&bench, nodes, policies, transport);
     let tolerance = reference.abs().max(1.0) * 1e-9;
     assert!(
         (reference - digest).abs() <= tolerance,
