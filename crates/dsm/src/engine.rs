@@ -40,7 +40,7 @@
 
 use std::sync::Arc;
 
-use hyperion_model::{NodeStats, ThreadClock};
+use hyperion_model::{AccessTally, NodeStats, ThreadClock};
 use hyperion_pm2::{Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE};
 
 use crate::config::{DeferredFlush, Locality, ProtocolKind, TransportConfig};
@@ -160,15 +160,14 @@ impl DsmSystem {
     /// Retrieve a field (an 8-byte slot): the `get` primitive of Table 2.
     ///
     /// Charges the protocol-dependent access-detection cost to `clock` and
-    /// fetches the containing page if it is not available locally.
+    /// fetches the containing page if it is not available locally.  The
+    /// access counters reach `node`'s stats before this returns; see
+    /// [`DsmSystem::get_tallied`] for the form that defers them.
     pub fn get(&self, node: NodeId, clock: &mut ThreadClock, addr: GlobalAddr) -> u64 {
-        let node_ref = self.cluster.node(node);
-        NodeStats::bump(&node_ref.stats.field_reads);
-        let page = addr.page();
-        let frame = self.store.frame(node, page);
-        let access = self.ensure_access(node, node_ref, clock, page, &frame, 1);
-        self.unwrap_rpc(access);
-        frame.load_slot(addr.slot())
+        let mut tally = AccessTally::default();
+        let value = self.get_tallied(node, clock, &mut tally, addr);
+        tally.fold_into(&self.cluster.node(node).stats);
+        value
     }
 
     /// Modify a field: the `put` primitive of Table 2.
@@ -176,11 +175,46 @@ impl DsmSystem {
     /// The modification is recorded with field granularity (dirty-slot
     /// bitmap) so `updateMainMemory` can flush exactly the modified fields.
     pub fn put(&self, node: NodeId, clock: &mut ThreadClock, addr: GlobalAddr, value: u64) {
-        let node_ref = self.cluster.node(node);
-        NodeStats::bump(&node_ref.stats.field_writes);
+        let mut tally = AccessTally::default();
+        self.put_tallied(node, clock, &mut tally, addr, value);
+        tally.fold_into(&self.cluster.node(node).stats);
+    }
+
+    /// [`DsmSystem::get`] that counts the read (and any in-line check) into
+    /// the caller's `tally` instead of the node's shared counters.  The
+    /// caller must fold the tally into `node`'s stats
+    /// ([`AccessTally::fold_into`]) before its next synchronisation point.
+    #[inline]
+    pub fn get_tallied(
+        &self,
+        node: NodeId,
+        clock: &mut ThreadClock,
+        tally: &mut AccessTally,
+        addr: GlobalAddr,
+    ) -> u64 {
+        tally.reads += 1;
         let page = addr.page();
         let frame = self.store.frame(node, page);
-        let access = self.ensure_access(node, node_ref, clock, page, &frame, 1);
+        let access = self.ensure_access(node, clock, tally, page, frame, 1);
+        self.unwrap_rpc(access);
+        frame.load_slot(addr.slot())
+    }
+
+    /// [`DsmSystem::put`] that counts into the caller's `tally` (see
+    /// [`DsmSystem::get_tallied`]).
+    #[inline]
+    pub fn put_tallied(
+        &self,
+        node: NodeId,
+        clock: &mut ThreadClock,
+        tally: &mut AccessTally,
+        addr: GlobalAddr,
+        value: u64,
+    ) {
+        tally.writes += 1;
+        let page = addr.page();
+        let frame = self.store.frame(node, page);
+        let access = self.ensure_access(node, clock, tally, page, frame, 1);
         self.unwrap_rpc(access);
         frame.store_slot(addr.slot(), value);
     }
@@ -192,15 +226,14 @@ impl DsmSystem {
     /// check, one check cost) should go through the runtime layer, which
     /// charges the protocol-dependent cost on top.
     pub fn locality(&self, node: NodeId, page: PageId) -> Locality {
-        self.store.with_frame(node, page, |f| {
-            if f.is_home() {
-                Locality::Local
-            } else if f.is_present() && !f.is_protected() {
-                Locality::CachedRemote
-            } else {
-                Locality::Remote
-            }
-        })
+        let f = self.store.frame(node, page);
+        if f.is_home() {
+            Locality::Local
+        } else if f.is_present() && !f.is_protected() {
+            Locality::CachedRemote
+        } else {
+            Locality::Remote
+        }
     }
 
     /// Bulk read of `out.len()` consecutive slots starting at `addr`: the
@@ -224,7 +257,10 @@ impl DsmSystem {
         }
         let node_ref = self.cluster.node(node);
         NodeStats::bump(&node_ref.stats.bulk_reads);
-        NodeStats::bump_by(&node_ref.stats.field_reads, out.len() as u64);
+        let mut tally = AccessTally {
+            reads: out.len() as u64,
+            ..AccessTally::default()
+        };
         let mut done = 0usize;
         while done < out.len() {
             let a = addr.offset(done as u64);
@@ -234,13 +270,14 @@ impl DsmSystem {
             // Pages this slice is still certain to touch, counting the
             // current one — the batching hint for `java_ad` fetches.
             let bulk_pages = 1 + (out.len() - done - run).div_ceil(SLOTS_PER_PAGE);
-            let access = self.ensure_access(node, node_ref, clock, a.page(), &frame, bulk_pages);
+            let access = self.ensure_access(node, clock, &mut tally, a.page(), frame, bulk_pages);
             self.unwrap_rpc(access);
             for k in 0..run {
                 out[done + k] = frame.load_slot(slot + k);
             }
             done += run;
         }
+        tally.fold_into(&node_ref.stats);
     }
 
     /// Bulk write of `values` to consecutive slots starting at `addr`: the
@@ -262,7 +299,10 @@ impl DsmSystem {
         }
         let node_ref = self.cluster.node(node);
         NodeStats::bump(&node_ref.stats.bulk_writes);
-        NodeStats::bump_by(&node_ref.stats.field_writes, values.len() as u64);
+        let mut tally = AccessTally {
+            writes: values.len() as u64,
+            ..AccessTally::default()
+        };
         let mut done = 0usize;
         while done < values.len() {
             let a = addr.offset(done as u64);
@@ -270,13 +310,14 @@ impl DsmSystem {
             let run = (SLOTS_PER_PAGE - slot).min(values.len() - done);
             let frame = self.store.frame(node, a.page());
             let bulk_pages = 1 + (values.len() - done - run).div_ceil(SLOTS_PER_PAGE);
-            let access = self.ensure_access(node, node_ref, clock, a.page(), &frame, bulk_pages);
+            let access = self.ensure_access(node, clock, &mut tally, a.page(), frame, bulk_pages);
             self.unwrap_rpc(access);
             for k in 0..run {
                 frame.store_slot(slot + k, values[done + k]);
             }
             done += run;
         }
+        tally.fold_into(&node_ref.stats);
     }
 
     /// Explicitly load a page into the local cache (the `loadIntoCache`
@@ -291,11 +332,11 @@ impl DsmSystem {
         // An explicit prefetch is not an access: it leaves the page's epoch
         // statistics alone.  The mprotect that opens the page is only due if
         // the page was protection-detected.
-        let unprotect = self.policies.detection.unprotect_on_install(&frame);
+        let unprotect = self.policies.detection.unprotect_on_install(frame);
         let fetched = if self.policies.detection.fetch_batching().is_some() {
-            self.fetch_page_adaptive(node, node_ref, clock, page, &frame, unprotect, 1, false)
+            self.fetch_page_adaptive(node, node_ref, clock, page, frame, unprotect, 1, false)
         } else {
-            self.fetch_page(node, node_ref, clock, page, &frame, unprotect, false)
+            self.fetch_page(node, node_ref, clock, page, frame, unprotect, false)
         };
         self.unwrap_rpc(fetched);
     }
@@ -316,21 +357,21 @@ impl DsmSystem {
             if frame.is_home() || (frame.is_present() && !frame.is_protected()) {
                 continue;
             }
-            let unprotect = self.policies.detection.unprotect_on_install(&frame);
+            let unprotect = self.policies.detection.unprotect_on_install(frame);
             let fetched = if self.policies.detection.fetch_batching().is_some() {
                 self.fetch_page_adaptive_inner(
                     node,
                     node_ref,
                     clock,
                     page,
-                    &frame,
+                    frame,
                     unprotect,
                     (pages - k) as usize,
                     false,
                     false,
                 )
             } else {
-                self.fetch_page(node, node_ref, clock, page, &frame, unprotect, false)
+                self.fetch_page(node, node_ref, clock, page, frame, unprotect, false)
             };
             self.unwrap_rpc(fetched);
         }
@@ -348,7 +389,7 @@ impl DsmSystem {
         NodeStats::bump(&node_ref.stats.cache_invalidations);
 
         let detection = &self.policies.detection;
-        let mut cached: Vec<(PageId, Arc<PageFrame>)> = Vec::new();
+        let mut cached: Vec<(PageId, &PageFrame)> = Vec::new();
         let mut switches = 0u64;
         let mut wasted = 0u64;
         self.store.for_each_frame(node, |page, frame| {
@@ -363,7 +404,7 @@ impl DsmSystem {
                 wasted += 1;
             }
             if frame.is_present() {
-                cached.push((page, self.store.frame(node, page)));
+                cached.push((page, frame));
             }
         });
 
@@ -382,35 +423,43 @@ impl DsmSystem {
 
         // Flush any pending modifications before dropping the copies
         // (batched like `updateMainMemory`'s flush).
-        let dirty: Vec<(PageId, Arc<PageFrame>)> = cached
+        let dirty: Vec<(PageId, &PageFrame)> = cached
             .iter()
             .filter(|(_, frame)| frame.has_dirty_slots())
-            .map(|(page, frame)| (*page, Arc::clone(frame)))
+            .copied()
             .collect();
         let flushed = self.flush_frames(node, node_ref, clock, &dirty);
         self.unwrap_rpc(flushed);
-        // A migration grant may have promoted one of these frames to home
-        // mid-invalidation; re-filter so the new main-memory copy survives.
-        cached.retain(|(_, frame)| !frame.is_home());
-        if cached.is_empty() {
-            return;
-        }
-
         let mut reprotected = false;
         let mut hint_waste = 0u64;
         let mut abandoned: Vec<PageId> = Vec::new();
-        for (page, frame) in &cached {
-            let reprotect = detection.reprotect_on_invalidate(frame);
-            reprotected |= reprotect;
-            // A hinted ticket still pending here means the predicted demand
-            // miss never came: the hint was wasted.  The counter feeds the
-            // requester-side throttle in `issue_hint_fetches`, and the page
-            // is remembered so the ticket can be re-armed below.
-            if frame.inflight_is_hinted() {
-                hint_waste += 1;
-                abandoned.push(*page);
+        {
+            // Hold re-homing off from the home check to the invalidation, so
+            // node recovery cannot promote one of these frames in between.
+            // (No RPC is issued under the guard: recovery runs on the RPC
+            // path and would wait on it.)
+            let _serving = self.store.serving_guard();
+            // A migration grant may have promoted one of these frames to
+            // home mid-invalidation; re-filter so the new main-memory copy
+            // survives.
+            cached.retain(|(_, frame)| !frame.is_home());
+            for (page, frame) in &cached {
+                let reprotect = detection.reprotect_on_invalidate(frame);
+                reprotected |= reprotect;
+                // A hinted ticket still pending here means the predicted
+                // demand miss never came: the hint was wasted.  The counter
+                // feeds the requester-side throttle in `issue_hint_fetches`,
+                // and the page is remembered so the ticket can be re-armed
+                // below.
+                if frame.inflight_is_hinted() {
+                    hint_waste += 1;
+                    abandoned.push(*page);
+                }
+                frame.invalidate(reprotect);
             }
-            frame.invalidate(reprotect);
+        }
+        if cached.is_empty() {
+            return;
         }
         if hint_waste > 0 {
             NodeStats::bump_by(&node_ref.stats.hinted_fetches_wasted, hint_waste);
@@ -471,11 +520,11 @@ impl DsmSystem {
 
     /// All non-home frames of `node` holding unflushed modifications, in
     /// page-id order (the shape `flush_frames` batches over).
-    fn collect_dirty(&self, node: NodeId) -> Vec<(PageId, Arc<PageFrame>)> {
-        let mut dirty: Vec<(PageId, Arc<PageFrame>)> = Vec::new();
+    fn collect_dirty(&self, node: NodeId) -> Vec<(PageId, &PageFrame)> {
+        let mut dirty: Vec<(PageId, &PageFrame)> = Vec::new();
         self.store.for_each_frame(node, |page, frame| {
             if !frame.is_home() && frame.has_dirty_slots() {
-                dirty.push((page, self.store.frame(node, page)));
+                dirty.push((page, frame));
             }
         });
         dirty
@@ -508,9 +557,8 @@ impl DsmSystem {
 
     /// True if `node` currently holds an accessible copy of `page`.
     pub fn is_cached(&self, node: NodeId, page: PageId) -> bool {
-        self.store.with_frame(node, page, |f| {
-            f.is_home() || (f.is_present() && !f.is_protected())
-        })
+        let f = self.store.frame(node, page);
+        f.is_home() || (f.is_present() && !f.is_protected())
     }
 
     /// Number of non-home pages currently cached (present) on `node`.
@@ -526,21 +574,24 @@ impl DsmSystem {
 
     // ----- internal helpers ------------------------------------------------
 
-    /// Apply the protocol's access-detection policy for one access.
+    /// Apply the protocol's access-detection policy for one access,
+    /// counting in-line checks into `tally`.
     ///
     /// `bulk_pages` is the number of consecutive pages (including this one)
     /// the caller is certain to touch — 1 for scalar `get`/`put`, the
     /// remaining page span for bulk slice transfers.  Only batching
     /// detection policies consult it, to size batched fetches.
+    #[inline]
     pub(crate) fn ensure_access(
         &self,
         node: NodeId,
-        node_ref: &Node,
         clock: &mut ThreadClock,
+        tally: &mut AccessTally,
         page: PageId,
         frame: &PageFrame,
         bulk_pages: usize,
     ) -> Result<(), crate::recover::RpcFailure> {
+        let node_ref = self.cluster.node(node);
         // First real use of an overlapped fetch completes the transaction:
         // merge the completion timestamp (the residual latency) before the
         // access proceeds.
@@ -548,7 +599,7 @@ impl DsmSystem {
         match self
             .policies
             .detection
-            .on_access(&node_ref.stats, clock, frame)
+            .on_access(&node_ref.stats, tally, clock, frame)
         {
             AccessAction::Granted => Ok(()),
             AccessAction::Fetch { unprotect } => {
@@ -572,7 +623,7 @@ impl DsmSystem {
         node: NodeId,
         node_ref: &Node,
         clock: &mut ThreadClock,
-        dirty: &[(PageId, Arc<PageFrame>)],
+        dirty: &[(PageId, &PageFrame)],
     ) -> Result<(), crate::recover::RpcFailure> {
         self.flush_frames_inner(node, node_ref, clock, dirty, false)
             .map(|_| ())
@@ -588,7 +639,7 @@ impl DsmSystem {
         node: NodeId,
         node_ref: &Node,
         clock: &mut ThreadClock,
-        dirty: &[(PageId, Arc<PageFrame>)],
+        dirty: &[(PageId, &PageFrame)],
         deferred: bool,
     ) -> Result<Option<DeferredFlush>, crate::recover::RpcFailure> {
         let machine = self.cluster.machine();

@@ -11,7 +11,6 @@
 //! resolved.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
@@ -148,7 +147,7 @@ impl DsmSystem {
                     drop(guard);
                     continue;
                 }
-                let unprotect = self.policies.detection.unprotect_on_install(&frame);
+                let unprotect = self.policies.detection.unprotect_on_install(frame);
                 let payload = encode_page_request_nohint(page);
                 let Ok((bytes, mut completion)) =
                     self.rpc_to_home(clock, node, node_ref, page, self.page_fetch, &payload)
@@ -262,7 +261,7 @@ impl DsmSystem {
 
         // Candidate phase: grow the contiguous window page by page.
         let num_pages = self.store.allocator().num_pages();
-        let mut candidates: Vec<(Arc<PageFrame>, bool)> = Vec::new();
+        let mut candidates: Vec<(&PageFrame, bool)> = Vec::new();
         for k in 1..max_batch as u64 {
             let q = PageId(page.0 + k);
             if q.index() >= num_pages || self.store.home_of(q) != home {
@@ -273,7 +272,7 @@ impl DsmSystem {
                 break;
             }
             let certain = (k as usize) < bulk_pages;
-            let predicted = may_speculate && self.policies.detection.predicts_reaccess(&qf);
+            let predicted = may_speculate && self.policies.detection.predicts_reaccess(qf);
             if !certain && !predicted {
                 break;
             }

@@ -5,6 +5,11 @@
 //! pre-fetched for free.  Each node holds at most one copy of a page; the
 //! copy is shared by every thread running on that node.
 //!
+//! A frame lives in its node's append-only frame table
+//! ([`crate::table::DsmStore::frame`]) and never moves, so the engine holds
+//! plain `&PageFrame` references, across RPCs too.  Frame state is atomic;
+//! only fetches serialise, on the frame's own fetch lock.
+//!
 //! A frame's 8-byte slots are `AtomicU64`s accessed with relaxed ordering —
 //! on the modelled x86 machines these are plain loads and stores, and using
 //! atomics keeps the reproduction free of undefined behaviour even when an

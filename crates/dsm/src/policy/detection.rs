@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hyperion_model::{CpuModel, MachineModel, NodeStats, ThreadClock, VTime};
+use hyperion_model::{AccessTally, MachineModel, NodeStats, ThreadClock, VTime};
 use hyperion_pm2::NodeId;
 
 use crate::config::AdaptiveParams;
@@ -57,8 +57,10 @@ pub trait DetectionPolicy: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Apply detection for one access to `frame`: charge the detection cost
-    /// to `clock`, bump the detection counters on `stats`, and say whether
-    /// the engine must fetch the page first.
+    /// to `clock`, count in-line checks into the accessing thread's `tally`
+    /// (folded into `locality_checks` at its next synchronisation point),
+    /// bump the rare page-fault counter on `stats` directly, and say
+    /// whether the engine must fetch the page first.
     ///
     /// JMM: must return [`AccessAction::Fetch`] whenever the node has no
     /// valid copy (neither home nor present-and-unprotected); returning
@@ -66,6 +68,7 @@ pub trait DetectionPolicy: Send + Sync {
     fn on_access(
         &self,
         stats: &NodeStats,
+        tally: &mut AccessTally,
         clock: &mut ThreadClock,
         frame: &PageFrame,
     ) -> AccessAction;
@@ -145,7 +148,8 @@ pub trait DetectionPolicy: Send + Sync {
 /// `java_ic`: every access pays an explicit in-line locality check.
 #[derive(Debug)]
 pub struct InlineCheckDetection {
-    cpu: CpuModel,
+    /// Cost of one in-line check, resolved once from the CPU model.
+    check: VTime,
 }
 
 impl InlineCheckDetection {
@@ -153,7 +157,7 @@ impl InlineCheckDetection {
     /// CPU model).
     pub fn new(machine: &MachineModel) -> Self {
         InlineCheckDetection {
-            cpu: machine.cpu.clone(),
+            check: machine.cpu.locality_check(),
         }
     }
 }
@@ -165,13 +169,14 @@ impl DetectionPolicy for InlineCheckDetection {
 
     fn on_access(
         &self,
-        stats: &NodeStats,
+        _stats: &NodeStats,
+        tally: &mut AccessTally,
         clock: &mut ThreadClock,
         frame: &PageFrame,
     ) -> AccessAction {
         // Every access pays the in-line locality check, local or not.
-        NodeStats::bump(&stats.locality_checks);
-        clock.advance(self.cpu.locality_check());
+        tally.checks += 1;
+        clock.advance(self.check);
         if !frame.is_home() && !frame.is_present() {
             AccessAction::Fetch { unprotect: false }
         } else {
@@ -213,6 +218,7 @@ impl DetectionPolicy for PageProtectDetection {
     fn on_access(
         &self,
         stats: &NodeStats,
+        _tally: &mut AccessTally,
         clock: &mut ThreadClock,
         frame: &PageFrame,
     ) -> AccessAction {
@@ -288,7 +294,8 @@ const TUNING_SPAN: u64 = 8;
 /// `n* = ⌈(t_fault + t_mprotect) / t_check⌉`.
 #[derive(Debug)]
 pub struct AdaptiveDetection {
-    cpu: CpuModel,
+    /// Cost of one in-line check, resolved once from the CPU model.
+    check: VTime,
     fault: VTime,
     ad: AdaptiveTuning,
     online: bool,
@@ -309,7 +316,7 @@ impl AdaptiveDetection {
             })
             .collect();
         AdaptiveDetection {
-            cpu: machine.cpu.clone(),
+            check: machine.cpu.locality_check(),
             fault: machine.dsm.page_fault,
             ad,
             online: params.online_thresholds,
@@ -374,6 +381,7 @@ impl DetectionPolicy for AdaptiveDetection {
     fn on_access(
         &self,
         stats: &NodeStats,
+        tally: &mut AccessTally,
         clock: &mut ThreadClock,
         frame: &PageFrame,
     ) -> AccessAction {
@@ -386,8 +394,8 @@ impl DetectionPolicy for AdaptiveDetection {
         match frame.ad_mode() {
             AdMode::Check => {
                 // `java_ic` mechanics for this page.
-                NodeStats::bump(&stats.locality_checks);
-                clock.advance(self.cpu.locality_check());
+                tally.checks += 1;
+                clock.advance(self.check);
                 if !frame.is_present() {
                     AccessAction::Fetch { unprotect: false }
                 } else {

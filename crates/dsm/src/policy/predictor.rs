@@ -183,9 +183,8 @@ impl DirectoryPredictor {
         // Neighbours that recently fetched the tail of the demanded span.
         let last = PageId(first.0 + count as u64 - 1);
         let neighbours: Vec<u64> = store
-            .with_frame(home, last, |f| {
-                f.dir_recent_fetchers(seq, HINT_RECENT_WINDOW)
-            })
+            .frame(home, last)
+            .dir_recent_fetchers(seq, HINT_RECENT_WINDOW)
             .into_iter()
             .filter(|&t| t != 0 && t != caller_tag)
             .collect();
@@ -200,11 +199,11 @@ impl DirectoryPredictor {
                 break;
             }
             let co_fetched = !neighbours.is_empty()
-                && store.with_frame(home, q, |f| {
-                    f.dir_recent_fetchers(seq, HINT_RECENT_WINDOW)
-                        .iter()
-                        .any(|t| neighbours.contains(t))
-                });
+                && store
+                    .frame(home, q)
+                    .dir_recent_fetchers(seq, HINT_RECENT_WINDOW)
+                    .iter()
+                    .any(|t| neighbours.contains(t));
             if !stride && !co_fetched {
                 break;
             }
@@ -245,9 +244,9 @@ impl Predictor for DirectoryPredictor {
             // churn so that random (Zipf-skewed) traffic — which replaces
             // the candidate on almost every fetch — stays silent while
             // freshly learned and stably repeating pairs hint immediately.
-            store.with_frame(store.home_of(PageId(prev - 1)), PageId(prev - 1), |f| {
-                f.dir_record_next(first.0, seq)
-            });
+            store
+                .frame(store.home_of(PageId(prev - 1)), PageId(prev - 1))
+                .dir_record_next(first.0, seq);
         }
         Some(FetchObservation {
             seq,
@@ -283,9 +282,8 @@ impl Predictor for DirectoryPredictor {
         // this page with another one (a learned successor pair): hint that
         // single page.
         store
-            .with_frame(home, last, |f| {
-                f.dir_recent_next(obs.seq, HINT_RECENT_WINDOW)
-            })
+            .frame(home, last)
+            .dir_recent_next(obs.seq, HINT_RECENT_WINDOW)
             .filter(|&n| n != first.0 && n != last.0)
             .map(|n| (PageId(n), 1))
     }

@@ -41,7 +41,12 @@
 //!
 //! Recovery is idempotent and serialised: exactly one observer performs it
 //! (`mark_failed` returns true once); concurrent observers block on the
-//! recovery lock and then simply re-route.
+//! recovery lock and then simply re-route.  The page-fetch and diff-apply
+//! handlers hold the same lock shared
+//! ([`crate::table::DsmStore::serving_guard`]), so no handler runs between
+//! the demote and the re-route of step 1–4: a diff from a caller whose
+//! clock is still before the kill instant lands either in the snapshot or
+//! at the elected home.
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId, ServiceId, TransportError, PAGE_BYTES};
@@ -220,16 +225,14 @@ impl DsmSystem {
             }
             // Demote first: writes the dead node's own threads issue from
             // here on are dirty-tracked and flush to the new home normally.
-            self.store.with_frame(peer, page, |f| f.demote_from_home());
-            let snapshot = self
-                .store
-                .with_frame(peer, page, |f| f.data().snapshot_bytes());
+            let old = self.store.frame(peer, page);
+            old.demote_from_home();
+            let snapshot = old.data().snapshot_bytes();
             let winner = self
                 .store
                 .newest_live_replica(page)
                 .unwrap_or_else(|| self.store.first_live_node());
-            self.store
-                .with_frame(winner, page, |f| f.promote_to_home(&snapshot));
+            self.store.frame(winner, page).promote_to_home(&snapshot);
             self.store.set_home(page, winner);
             resynced += 1;
         }

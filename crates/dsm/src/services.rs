@@ -35,6 +35,7 @@ pub(crate) fn copy_home_pages(
     first: PageId,
     count: u32,
 ) -> (Vec<u8>, Option<FetchObservation>) {
+    let _serving = store.serving_guard();
     let mut bytes = Vec::with_capacity(PAGE_BYTES * count as usize);
     // Directory bookkeeping exists only when the predictor opts in: a
     // `NoopPredictor` declines the observation, and the fetch handler
@@ -53,12 +54,11 @@ pub(crate) fn copy_home_pages(
             home_now == home || store.page_migrated(page),
             "page fetch sent to a node that is not the page's home"
         );
-        bytes.extend_from_slice(&store.with_frame(home_now, page, |f| {
-            if let Some(o) = &obs {
-                predictor.record_served_page(f, caller, o);
-            }
-            f.data().snapshot_bytes()
-        }));
+        let f = store.frame(home_now, page);
+        if let Some(o) = &obs {
+            predictor.record_served_page(f, caller, o);
+        }
+        bytes.extend_from_slice(&f.data().snapshot_bytes());
         if replication.replicates() {
             // The served copy doubles as a read replica: the caller is
             // now a candidate home should this node fail.
@@ -96,6 +96,7 @@ pub(crate) fn apply_diff_message(
     caller: NodeId,
     payload: &[u8],
 ) -> DiffOutcome {
+    let _serving = store.serving_guard();
     let diffs = decode_diff_message(payload);
     let mut out = DiffOutcome {
         slots: 0,
@@ -113,16 +114,15 @@ pub(crate) fn apply_diff_message(
             home_now == nominal_home || store.page_migrated(*page),
             "diff sent to a node that is not the page's home"
         );
-        let migrate = store.with_frame(home_now, *page, |f| {
-            debug_assert!(f.is_home() || store.page_migrated(*page));
-            for &(slot, value) in entries {
-                f.apply_diff_slot(slot as usize, value);
-            }
-            // Migration decision: one grant per message at most (the
-            // `grant.is_none()` guard runs first so a policy's vote
-            // state is untouched once this message granted).
-            out.grant.is_none() && migration.should_migrate(f, caller, home_now)
-        });
+        let home_frame = store.frame(home_now, *page);
+        debug_assert!(home_frame.is_home() || store.page_migrated(*page));
+        for &(slot, value) in entries {
+            home_frame.apply_diff_slot(slot as usize, value);
+        }
+        // Migration decision: one grant per message at most (the
+        // `grant.is_none()` guard runs first so a policy's vote state is
+        // untouched once this message granted).
+        let migrate = out.grant.is_none() && migration.should_migrate(home_frame, caller, home_now);
         // The page's bytes changed: stale leader-cached copies must not be
         // treated as current by the fetch-combining version check.
         store.note_page_changed(*page);
@@ -132,15 +132,12 @@ pub(crate) fn apply_diff_message(
             // writer's frame from the authoritative snapshot (keeping
             // any newer local writes it has pending), then re-route the
             // home and demote the old home to an ordinary cached copy.
-            let (snapshot, back_off) = store.with_frame(home_now, *page, |f| {
-                (f.data().snapshot_bytes(), f.mig_required())
-            });
-            store.with_frame(caller, *page, |f| {
-                f.promote_to_home(&snapshot);
-                f.mig_inherit_required(back_off);
-            });
+            let snapshot = home_frame.data().snapshot_bytes();
+            let writer = store.frame(caller, *page);
+            writer.promote_to_home(&snapshot);
+            writer.mig_inherit_required(home_frame.mig_required());
             store.set_home(*page, caller);
-            store.with_frame(home_now, *page, |f| f.demote_from_home());
+            home_frame.demote_from_home();
             out.grant = Some((*page, snapshot));
         }
         if replication.replicates() {

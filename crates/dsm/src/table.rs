@@ -3,14 +3,22 @@
 //! Every node keeps one [`PageFrame`] per page of the
 //! global address space.  The home node's frame *is* the main-memory copy of
 //! the page; the other nodes' frames are caches.  Frame tables grow lazily as
-//! pages are allocated.
+//! pages are touched.
+//!
+//! A node's frame table is an append-only [`SegmentTable`]: frames never
+//! move once created, so [`DsmStore::frame`] hands out a plain
+//! `&PageFrame` after a few loads — no lock, no reference count.  Only
+//! growth serialises, on the table's own append mutex.  A frame is handed
+//! out only once the table's length counts it (a lookup that races a
+//! growth waits for it in `grow_table`), so [`DsmStore::for_each_frame`] —
+//! and with it every flush and invalidation — visits every frame in use.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hyperion_pm2::{IsoAllocator, NodeId, PageId, Topology};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use hyperion_pm2::{IsoAllocator, NodeId, PageId, SegmentTable, Topology};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::page::PageFrame;
 
@@ -30,29 +38,6 @@ pub struct ReplicaSet {
     pub holders: Vec<(u32, u64)>,
 }
 
-/// The frame table of a single node.
-#[derive(Debug, Default)]
-pub struct NodeFrames {
-    frames: RwLock<Vec<Arc<PageFrame>>>,
-}
-
-impl NodeFrames {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of pages this node currently has frames for.
-    pub fn len(&self) -> usize {
-        self.frames.read().len()
-    }
-
-    /// True if no frames exist yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// The cluster-wide DSM store: one frame table per node plus the allocator
 /// that knows each page's home.
 ///
@@ -61,7 +46,9 @@ impl NodeFrames {
 /// home frames and apply diffs to them).
 pub struct DsmStore {
     allocator: Arc<IsoAllocator>,
-    nodes: Vec<NodeFrames>,
+    /// One frame table per node, indexed by page id.  Frames are boxed so a
+    /// segment's up-front allocation is one pointer per page, not a frame.
+    nodes: Vec<SegmentTable<Box<PageFrame>>>,
     /// Pages whose home has *ever* migrated away from the allocator's
     /// static assignment (home migration).  An entry stays even when a page
     /// migrates back to its static home, so per-page "has this page ever
@@ -69,7 +56,7 @@ pub struct DsmStore {
     home_overrides: RwLock<HashMap<u64, NodeId>>,
     /// Number of entries in `home_overrides`, readable without the lock so
     /// the migration-free common case of [`DsmStore::home_of`] stays a
-    /// plain array index.
+    /// lock-free lookup in the allocator's append-only home table.
     num_overrides: std::sync::atomic::AtomicUsize,
     /// The node-group shape of the cluster (flat single-node groups by
     /// default).  The directory keys its per-requester state by group, the
@@ -108,8 +95,10 @@ pub struct DsmStore {
     num_failed: std::sync::atomic::AtomicUsize,
     /// Serialises node recovery: the first thread to observe a dead peer
     /// re-homes every page it served; concurrent observers wait here and
-    /// then see the already-recovered routing.
-    recovery: Mutex<()>,
+    /// then see the already-recovered routing.  Page-serving handlers and
+    /// cache invalidation hold it shared, so re-homing is atomic with
+    /// respect to them.
+    recovery: RwLock<()>,
 }
 
 impl DsmStore {
@@ -127,7 +116,7 @@ impl DsmStore {
         let dir_keys = topology.num_groups();
         Arc::new(DsmStore {
             allocator,
-            nodes: (0..num_nodes).map(|_| NodeFrames::new()).collect(),
+            nodes: (0..num_nodes).map(|_| SegmentTable::new()).collect(),
             home_overrides: RwLock::new(HashMap::new()),
             num_overrides: std::sync::atomic::AtomicUsize::new(0),
             topology,
@@ -143,7 +132,7 @@ impl DsmStore {
             replicas: RwLock::new(HashMap::new()),
             failed: RwLock::new(HashSet::new()),
             num_failed: std::sync::atomic::AtomicUsize::new(0),
-            recovery: Mutex::new(()),
+            recovery: RwLock::new(()),
         })
     }
 
@@ -179,7 +168,8 @@ impl DsmStore {
 
     /// Home node of `page`: the allocator's static assignment unless the
     /// page's home has migrated.  With migration disabled (or before the
-    /// first grant) this is a lock-free array index.
+    /// first grant) this takes no lock: one atomic load of the override
+    /// count plus the allocator's lock-free home lookup.
     #[inline]
     pub fn home_of(&self, page: PageId) -> NodeId {
         if self
@@ -279,44 +269,24 @@ impl DsmStore {
             .swap(page.0 + 1, std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Run `f` on node `node`'s frame for `page`, creating the frame (and any
-    /// missing lower-numbered frames) on first touch.
+    /// Node `node`'s frame for `page`, creating it (and any missing
+    /// lower-numbered frames) on first touch.  Lock-free once the frame
+    /// exists; the reference stays valid for the store's lifetime.
     ///
     /// # Panics
     /// Panics if `page` has not been allocated or `node` is out of range.
-    pub fn with_frame<R>(&self, node: NodeId, page: PageId, f: impl FnOnce(&PageFrame) -> R) -> R {
-        let table = &self.nodes[node.index()];
-        {
-            let frames = table.frames.read();
-            if let Some(frame) = frames.get(page.index()) {
-                return f(frame);
-            }
+    #[inline]
+    pub fn frame(&self, node: NodeId, page: PageId) -> &PageFrame {
+        match self.nodes[node.index()].get(page.index()) {
+            Some(frame) => frame,
+            None => self.grow_table(node, page),
         }
-        self.grow_table(node, page);
-        let frames = table.frames.read();
-        f(&frames[page.index()])
-    }
-
-    /// Clone the `Arc` of node `node`'s frame for `page`, creating it on
-    /// first touch.  Used by the access fast path so that no table lock is
-    /// held while the protocol engine performs RPCs.
-    pub fn frame(&self, node: NodeId, page: PageId) -> Arc<PageFrame> {
-        {
-            let frames = self.nodes[node.index()].frames.read();
-            if let Some(frame) = frames.get(page.index()) {
-                return Arc::clone(frame);
-            }
-        }
-        self.grow_table(node, page);
-        let frames = self.nodes[node.index()].frames.read();
-        Arc::clone(&frames[page.index()])
     }
 
     /// Visit every currently materialised frame of `node` together with its
     /// page id (used by `invalidateCache` and `updateMainMemory`).
-    pub fn for_each_frame(&self, node: NodeId, mut f: impl FnMut(PageId, &PageFrame)) {
-        let frames = self.nodes[node.index()].frames.read();
-        for (i, frame) in frames.iter().enumerate() {
+    pub fn for_each_frame<'a>(&'a self, node: NodeId, mut f: impl FnMut(PageId, &'a PageFrame)) {
+        for (i, frame) in self.nodes[node.index()].iter() {
             f(PageId(i as u64), frame);
         }
     }
@@ -419,29 +389,42 @@ impl DsmStore {
 
     /// Take the cluster-wide recovery lock: the holder is the one thread
     /// re-homing a dead node's pages.
-    pub fn recovery_guard(&self) -> MutexGuard<'_, ()> {
-        self.recovery.lock()
+    pub fn recovery_guard(&self) -> RwLockWriteGuard<'_, ()> {
+        self.recovery.write()
     }
 
-    fn grow_table(&self, node: NodeId, page: PageId) {
+    /// Hold off recovery while a handler resolves a page's home and reads
+    /// or writes its home frame: a handler then sees a page either wholly
+    /// before re-homing (its write lands in the snapshot) or wholly after
+    /// (it resolves the elected home), never a demoted frame that is not
+    /// yet re-routed.  `invalidateCache` holds it from its home check to
+    /// the invalidation, so recovery never promotes a frame in between.
+    /// The holder must not issue an RPC: recovery runs on the RPC path.
+    pub fn serving_guard(&self) -> RwLockReadGuard<'_, ()> {
+        self.recovery.read()
+    }
+
+    #[cold]
+    fn grow_table(&self, node: NodeId, page: PageId) -> &PageFrame {
         let allocated = self.allocator.num_pages();
         assert!(
             page.index() < allocated,
             "page {page:?} accessed before being allocated ({allocated} pages exist)"
         );
-        let mut frames = self.nodes[node.index()].frames.write();
-        while frames.len() <= page.index() {
-            let pid = frames.len();
+        let frames = &self.nodes[node.index()];
+        frames.extend_to(page.index(), |pid| {
             // Consult the (possibly migrated) current home, not the
             // allocator's static table: a node materialising its frame after
             // a migration must see the page's present-day home.
-            let frame = if self.home_of(PageId(pid as u64)) == node {
+            Box::new(if self.home_of(PageId(pid as u64)) == node {
                 PageFrame::new_home()
             } else {
                 PageFrame::new_remote()
-            };
-            frames.push(Arc::new(frame));
-        }
+            })
+        });
+        frames
+            .get(page.index())
+            .expect("frame materialised just above")
     }
 }
 
@@ -470,9 +453,9 @@ mod tests {
         let a = alloc.alloc(4, NodeId(1));
         let page = a.page();
 
-        assert!(store.with_frame(NodeId(1), page, |f| f.is_home()));
-        assert!(!store.with_frame(NodeId(0), page, |f| f.is_home()));
-        assert!(!store.with_frame(NodeId(2), page, |f| f.is_home()));
+        assert!(store.frame(NodeId(1), page).is_home());
+        assert!(!store.frame(NodeId(0), page).is_home());
+        assert!(!store.frame(NodeId(2), page).is_home());
         assert_eq!(store.home_of(page), NodeId(1));
     }
 
@@ -483,7 +466,7 @@ mod tests {
         let b = alloc.alloc(600, NodeId(1));
         // Touch only the last page; earlier frames must exist afterwards.
         let last = b.offset(599).page();
-        store.with_frame(NodeId(0), last, |_| ());
+        store.frame(NodeId(0), last);
         assert_eq!(store.frames_on(NodeId(0)), last.index() + 1);
         // Other nodes are independent.
         assert_eq!(store.frames_on(NodeId(1)), 0);
@@ -493,16 +476,50 @@ mod tests {
     #[should_panic(expected = "before being allocated")]
     fn touching_unallocated_page_panics() {
         let (_alloc, store) = store(1);
-        store.with_frame(NodeId(0), PageId(99), |_| ());
+        store.frame(NodeId(0), PageId(99));
     }
 
     #[test]
-    fn frame_arc_is_shared_with_table() {
+    fn frames_at_segment_boundaries_get_the_right_home_flag() {
+        // The frame table's segments hold 512, 1024, 2048, ... frames:
+        // 0/511 are the first segment's ends, 512/1535 the second's, 1536
+        // opens the third.  Pages alternate homes in runs of one.
+        let (alloc, store) = store(2);
+        while alloc.num_pages() <= 1536 {
+            let home = NodeId((alloc.num_pages() % 2) as u32);
+            alloc.alloc_page_aligned(1, home);
+        }
+        for p in [0u64, 511, 512, 1535, 1536] {
+            let page = PageId(p);
+            let home = alloc.home_of(page);
+            assert_eq!(home, NodeId((p % 2) as u32), "allocator home of {p}");
+            for n in 0..2u32 {
+                assert_eq!(
+                    store.frame(NodeId(n), page).is_home(),
+                    home == NodeId(n),
+                    "node {n}, page {p}"
+                );
+            }
+        }
+        assert_eq!(store.frames_on(NodeId(0)), 1537);
+    }
+
+    #[test]
+    fn frame_references_survive_table_growth() {
         let (alloc, store) = store(2);
         let a = alloc.alloc(4, NodeId(0));
         let frame = store.frame(NodeId(1), a.page());
         frame.install_copy(&crate::page::PageData::zeroed().snapshot_bytes());
-        assert!(store.with_frame(NodeId(1), a.page(), |f| f.is_present()));
+        // Grow node 1's table across several segments (512 + 1024 + 2048
+        // + 4096 frames): the frame handed out above must not move.
+        let big = alloc.alloc_page_aligned(hyperion_pm2::SLOTS_PER_PAGE * 8000, NodeId(0));
+        let last = big
+            .offset(hyperion_pm2::SLOTS_PER_PAGE as u64 * 8000 - 1)
+            .page();
+        store.frame(NodeId(1), last);
+        assert!(store.frames_on(NodeId(1)) > 512 + 1024 + 2048 + 4096);
+        assert!(std::ptr::eq(frame, store.frame(NodeId(1), a.page())));
+        assert!(store.frame(NodeId(1), a.page()).is_present());
     }
 
     #[test]
@@ -510,8 +527,8 @@ mod tests {
         let (alloc, store) = store(2);
         let a = alloc.alloc(4, NodeId(0));
         let b = alloc.alloc(4, NodeId(1));
-        store.with_frame(NodeId(0), a.page(), |_| ());
-        store.with_frame(NodeId(0), b.page(), |_| ());
+        store.frame(NodeId(0), a.page());
+        store.frame(NodeId(0), b.page());
         let mut seen = Vec::new();
         store.for_each_frame(NodeId(0), |pid, f| seen.push((pid, f.is_home())));
         assert!(seen.len() >= 2);
@@ -608,9 +625,8 @@ mod tests {
                 let store = &store;
                 s.spawn(move || {
                     for p in 0..=last.index() {
-                        store.with_frame(NodeId(n), PageId(p as u64), |f| {
-                            assert_eq!(f.is_home(), n == 0);
-                        });
+                        let f = store.frame(NodeId(n), PageId(p as u64));
+                        assert_eq!(f.is_home(), n == 0);
                     }
                 });
             }

@@ -33,6 +33,7 @@ pub enum JmmAction {
 /// Perform the acquire action for the calling thread: invalidate the node's
 /// cache of remote objects (`invalidateCache` of Table 2).
 pub fn acquire(ctx: &mut ThreadCtx) {
+    ctx.fold_tally();
     let node = ctx.node();
     let shared = std::sync::Arc::clone(&ctx.shared);
     shared.dsm.invalidate_cache(node, ctx.clock_mut());
@@ -41,6 +42,7 @@ pub fn acquire(ctx: &mut ThreadCtx) {
 /// Perform the release action for the calling thread: flush all recorded
 /// modifications to their home nodes (`updateMainMemory` of Table 2).
 pub fn release(ctx: &mut ThreadCtx) {
+    ctx.fold_tally();
     let node = ctx.node();
     let shared = std::sync::Arc::clone(&ctx.shared);
     shared.dsm.update_main_memory(node, ctx.clock_mut());
@@ -55,6 +57,7 @@ pub fn release(ctx: &mut ThreadCtx) {
 /// thread-level happens-before edge (`Thread.start`, `join`, migration,
 /// program termination) uses the blocking [`release`].
 pub fn release_deferred(ctx: &mut ThreadCtx) -> Option<DeferredFlush> {
+    ctx.fold_tally();
     let node = ctx.node();
     let shared = std::sync::Arc::clone(&ctx.shared);
     shared

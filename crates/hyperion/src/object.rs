@@ -911,11 +911,13 @@ mod tests {
             }
             // Row lookups after the view are free: field reads stay flat
             // while we fetch every row handle again.
+            ctx.fold_tally();
             let reads_before = ctx.shared.cluster.total_stats().field_reads;
             for r in 0..6 {
                 let row = rows.row(r);
                 assert_eq!(ctx.home_of(row.base()), NodeId((r % 3) as u32));
             }
+            ctx.fold_tally();
             let reads_after = ctx.shared.cluster.total_stats().field_reads;
             assert_eq!(reads_before, reads_after);
             // Element reads agree with the per-access path.

@@ -18,8 +18,8 @@ use hyperion_dsm::{
 };
 use hyperion_model::vtime::TimeWatermark;
 use hyperion_model::{
-    ClusterSpec, CpuModel, MachineModel, NodeStats, OpCounts, StatsSnapshot, ThreadClock, VTime,
-    WireServiceSnapshot, WorkEstimate,
+    AccessTally, ClusterSpec, CpuModel, MachineModel, NodeStats, OpCounts, StatsSnapshot,
+    ThreadClock, VTime, WireServiceSnapshot, WorkEstimate,
 };
 use hyperion_pm2::{
     Cluster, GlobalAddr, IsoAllocator, NodeId, ThreadId, ThreadRegistry, TransportBackend,
@@ -448,6 +448,9 @@ pub(crate) struct RuntimeShared {
     pub(crate) finish: TimeWatermark,
     pub(crate) active_children: AtomicUsize,
     pub(crate) progress: ProgressTable,
+    /// Cost of one in-line locality check ([`ThreadCtx::locality`] under
+    /// `java_ic`), resolved once from the CPU model.
+    pub(crate) locality_check: VTime,
     /// Modeled per-operation latencies (picoseconds) recorded by
     /// [`ThreadCtx::record_serving_op`]; folded into the report's tail
     /// percentiles when the run ends.
@@ -484,6 +487,7 @@ impl HyperionRuntime {
             &config.transport,
         );
         let balancer = LoadBalancer::new(config.nodes);
+        let locality_check = config.cluster.machine.cpu.locality_check();
         Ok(HyperionRuntime {
             shared: Arc::new(RuntimeShared {
                 config,
@@ -495,6 +499,7 @@ impl HyperionRuntime {
                 finish: TimeWatermark::new(),
                 active_children: AtomicUsize::new(0),
                 progress: ProgressTable::default(),
+                locality_check,
                 serving_latencies: parking_lot::Mutex::new(Vec::new()),
             }),
         })
@@ -546,10 +551,12 @@ impl HyperionRuntime {
             thread: tid,
             node: main_node,
             clock: ThreadClock::new(),
+            tally: AccessTally::default(),
         };
 
         let result = main(&mut ctx);
         // Program termination is a release point.
+        ctx.fold_tally();
         shared.dsm.update_main_memory(main_node, &mut ctx.clock);
 
         // Wait (in real time) for threads the program did not join; their
@@ -714,11 +721,17 @@ impl RunReport {
 /// monitor operations, thread creation, explicit compute charging — goes
 /// through a `ThreadCtx`, which is how the virtual-time accounting reaches
 /// the right clock.
+///
+/// Field accesses are counted in the context's own [`AccessTally`], folded
+/// into the node's shared counters at every synchronisation point (JMM
+/// acquire and release, spawn, join, migration, thread end), so the cached
+/// access path touches no shared counter.
 pub struct ThreadCtx {
     pub(crate) shared: Arc<RuntimeShared>,
     pub(crate) thread: ThreadId,
     pub(crate) node: NodeId,
     pub(crate) clock: ThreadClock,
+    pub(crate) tally: AccessTally,
 }
 
 impl ThreadCtx {
@@ -788,6 +801,14 @@ impl ThreadCtx {
     #[inline]
     pub(crate) fn clock_mut(&mut self) -> &mut ThreadClock {
         &mut self.clock
+    }
+
+    /// Add this thread's access tally to its node's counters.  Every
+    /// synchronisation point calls this first, so a thread that
+    /// synchronises with this one sees its counts up to the edge.
+    pub(crate) fn fold_tally(&mut self) {
+        self.tally
+            .fold_into(&self.shared.cluster.node(self.node).stats);
     }
 
     /// Synchronise this thread's clock with an externally observed virtual
@@ -909,13 +930,17 @@ impl ThreadCtx {
     /// Read an 8-byte slot through the DSM (`get` of Table 2).
     #[inline]
     pub fn get_slot(&mut self, addr: GlobalAddr) -> u64 {
-        self.shared.dsm.get(self.node, &mut self.clock, addr)
+        self.shared
+            .dsm
+            .get_tallied(self.node, &mut self.clock, &mut self.tally, addr)
     }
 
     /// Write an 8-byte slot through the DSM (`put` of Table 2).
     #[inline]
     pub fn put_slot(&mut self, addr: GlobalAddr, value: u64) {
-        self.shared.dsm.put(self.node, &mut self.clock, addr, value);
+        self.shared
+            .dsm
+            .put_tallied(self.node, &mut self.clock, &mut self.tally, addr, value);
     }
 
     /// Explicitly prefetch the page containing `addr` (`loadIntoCache`).
@@ -960,10 +985,8 @@ impl ThreadCtx {
     pub fn locality(&mut self, addr: GlobalAddr) -> Locality {
         let loc = self.shared.dsm.locality(self.node, addr.page());
         if self.shared.config.protocol() == ProtocolKind::JavaIc {
-            let node_ref = self.shared.cluster.node(self.node);
-            NodeStats::bump(&node_ref.stats.locality_checks);
-            let check = self.shared.cluster.machine().cpu.locality_check();
-            self.clock.advance(check);
+            self.tally.checks += 1;
+            self.clock.advance(self.shared.locality_check);
         }
         loc
     }
@@ -1025,6 +1048,7 @@ impl ThreadCtx {
         // `Thread.start()` establishes a happens-before edge from the parent
         // to the child: flush the parent's pending modifications so the child
         // (running on another node's cache) observes them.
+        self.fold_tally();
         self.shared
             .dsm
             .update_main_memory(self.node, &mut self.clock);
@@ -1058,10 +1082,13 @@ impl ThreadCtx {
                     thread: tid,
                     node,
                     clock: ThreadClock::starting_at(start),
+                    tally: AccessTally::default(),
                 };
                 body(&mut ctx);
                 // Thread termination is a release point: the child's writes
-                // must reach main memory so a joining thread can observe them.
+                // (and access counts) must reach main memory so a joining
+                // thread can observe them.
+                ctx.fold_tally();
                 shared.dsm.update_main_memory(node, &mut ctx.clock);
                 let end = ctx.clock.now();
                 shared.registry.mark_terminated(tid);
@@ -1078,6 +1105,7 @@ impl ThreadCtx {
     /// Join a Hyperion thread: blocks (in real time) until the thread has
     /// finished and merges its final virtual time into this thread's clock.
     pub fn join(&mut self, handle: HThreadHandle) -> VTime {
+        self.fold_tally();
         let machine = self.shared.cluster.machine();
         // While blocked on the child this thread places no pacing constraint
         // on the others.
@@ -1112,7 +1140,8 @@ impl ThreadCtx {
         // Leaving a node is a release point (pending writes must not be
         // stranded in the old node's cache) and arriving on a node is an
         // acquire point (the thread must not read values staler than what it
-        // could already observe).
+        // could already observe).  Counts made on the old node stay there.
+        self.fold_tally();
         self.shared
             .dsm
             .update_main_memory(self.node, &mut self.clock);
@@ -1124,6 +1153,20 @@ impl ThreadCtx {
         self.shared.registry.migrate(self.thread, node);
         self.node = node;
         self.shared.dsm.invalidate_cache(self.node, &mut self.clock);
+    }
+}
+
+impl Drop for ThreadCtx {
+    fn drop(&mut self) {
+        // Every exit path of a thread folds its tally; a count left here
+        // means a fold site is missing and the run's counters are short.
+        // Skipped while unwinding: a second panic would abort the process.
+        debug_assert!(
+            self.tally.is_empty() || std::thread::panicking(),
+            "{} ended with unfolded access counts {:?}",
+            self.thread,
+            self.tally
+        );
     }
 }
 

@@ -36,5 +36,5 @@ pub use machine::{
     myrinet_200, scaled_cluster, sci_450, ClusterSpec, CpuModel, DsmCostModel, MachineModel,
     NetworkModel,
 };
-pub use stats::{NodeStats, StatsSnapshot, WireServiceSnapshot, WireStats};
+pub use stats::{AccessTally, NodeStats, StatsSnapshot, WireServiceSnapshot, WireStats};
 pub use vtime::{ServerClock, ThreadClock, VTime};

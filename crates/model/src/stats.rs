@@ -169,6 +169,48 @@ impl NodeStats {
     }
 }
 
+/// One thread's unfolded share of the three per-access counters
+/// (`field_reads`, `field_writes`, `locality_checks`).
+///
+/// Bumping a shared atomic on every cached `get`/`put` costs more than the
+/// access it counts, so the runtime counts accesses in a plain per-thread
+/// tally and adds it to the node's [`NodeStats`] with
+/// [`AccessTally::fold_into`] at the thread's synchronisation points
+/// (acquire, release, spawn, join, migration, termination).  Run-end
+/// snapshots therefore stay exact, and a thread that synchronises with
+/// another sees the other's counts up to that edge.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AccessTally {
+    /// Unfolded `field_reads`.
+    pub reads: u64,
+    /// Unfolded `field_writes`.
+    pub writes: u64,
+    /// Unfolded `locality_checks`.
+    pub checks: u64,
+}
+
+impl AccessTally {
+    /// True if nothing is waiting to be folded.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        *self == AccessTally::default()
+    }
+
+    /// Add the tally to `stats` and reset it to zero.
+    pub fn fold_into(&mut self, stats: &NodeStats) {
+        for (count, counter) in [
+            (self.reads, &stats.field_reads),
+            (self.writes, &stats.field_writes),
+            (self.checks, &stats.locality_checks),
+        ] {
+            if count > 0 {
+                NodeStats::bump_by(counter, count);
+            }
+        }
+        *self = AccessTally::default();
+    }
+}
+
 impl StatsSnapshot {
     /// Sum a collection of snapshots into a cluster-wide total.
     pub fn total<'a, I: IntoIterator<Item = &'a StatsSnapshot>>(snapshots: I) -> StatsSnapshot {
@@ -292,6 +334,32 @@ impl WireStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn access_tally_folds_into_its_three_counters_and_resets() {
+        let stats = NodeStats::default();
+        let mut tally = AccessTally {
+            reads: 3,
+            writes: 2,
+            checks: 5,
+        };
+        tally.fold_into(&stats);
+        assert!(tally.is_empty());
+        tally.reads = 1;
+        tally.fold_into(&stats);
+        let snap = stats.snapshot();
+        assert_eq!(
+            (snap.field_reads, snap.field_writes, snap.locality_checks),
+            (4, 2, 5)
+        );
+        let others = StatsSnapshot {
+            field_reads: 0,
+            field_writes: 0,
+            locality_checks: 0,
+            ..snap
+        };
+        assert_eq!(others, StatsSnapshot::default());
+    }
 
     #[test]
     fn wire_stats_accumulate_per_service() {

@@ -15,6 +15,7 @@
 use parking_lot::Mutex;
 
 use crate::node::NodeId;
+use crate::segtable::SegmentTable;
 
 /// Number of 8-byte slots per page.
 pub const SLOTS_PER_PAGE: usize = 512;
@@ -84,8 +85,6 @@ struct OpenPage {
 }
 
 struct AllocState {
-    /// Home node of every allocated page, indexed by page id.
-    page_homes: Vec<NodeId>,
     /// Per-home-node partially filled page for small-object packing.
     open_pages: Vec<OpenPage>,
     /// Total slots handed out (for reporting).
@@ -95,10 +94,14 @@ struct AllocState {
 /// The iso-address allocator: assigns global addresses and home nodes.
 ///
 /// Allocation is a setup-time activity in all of the paper's benchmarks, so
-/// the allocator favours simplicity over allocation throughput; it is fully
-/// thread-safe nonetheless.
+/// allocations serialise on one mutex.  Home lookups happen on every DSM
+/// routing decision, so they never take it: page homes live in an
+/// append-only [`SegmentTable`] whose length is published after the new
+/// pages' homes are written.
 pub struct IsoAllocator {
     state: Mutex<AllocState>,
+    /// Home node of every allocated page, indexed by page id.
+    homes: SegmentTable<NodeId>,
     num_nodes: usize,
 }
 
@@ -122,12 +125,14 @@ impl IsoAllocator {
             page: Some(PageId(0)),
             next_slot: 1,
         };
+        let homes = SegmentTable::new();
+        homes.extend_to(0, |_| NodeId(0));
         IsoAllocator {
             state: Mutex::new(AllocState {
-                page_homes: vec![NodeId(0)],
                 open_pages,
                 slots_allocated: 1,
             }),
+            homes,
             num_nodes,
         }
     }
@@ -167,11 +172,8 @@ impl IsoAllocator {
         }
 
         // Start on fresh pages.
+        let first_page = self.push_pages(slots, home);
         let pages_needed = slots.div_ceil(SLOTS_PER_PAGE);
-        let first_page = st.page_homes.len() as u64;
-        for _ in 0..pages_needed {
-            st.page_homes.push(home);
-        }
         let used_in_last = slots - (pages_needed - 1) * SLOTS_PER_PAGE;
         st.open_pages[home.index()] = if used_in_last < SLOTS_PER_PAGE {
             OpenPage {
@@ -195,23 +197,30 @@ impl IsoAllocator {
         assert!(home.index() < self.num_nodes, "home out of range");
         let mut st = self.state.lock();
         st.slots_allocated += slots as u64;
-        let pages_needed = slots.div_ceil(SLOTS_PER_PAGE);
-        let first_page = st.page_homes.len() as u64;
-        for _ in 0..pages_needed {
-            st.page_homes.push(home);
-        }
+        let first_page = self.push_pages(slots, home);
         // Page-aligned allocations never leave an open page behind: the
         // remainder of the last page stays unused to avoid false sharing.
         GlobalAddr(first_page * SLOTS_PER_PAGE as u64)
     }
 
-    /// Home node of a page.
+    /// Append the fresh pages covering `slots` slots, all homed on `home`,
+    /// and return the first one's id.  Callers hold the state lock, which
+    /// keeps the page ids of concurrent allocations apart.
+    fn push_pages(&self, slots: usize, home: NodeId) -> u64 {
+        let first_page = self.homes.len();
+        self.homes
+            .extend_to(first_page + slots.div_ceil(SLOTS_PER_PAGE) - 1, |_| home);
+        first_page as u64
+    }
+
+    /// Home node of a page (lock-free).
     ///
     /// # Panics
     /// Panics if the page has not been allocated.
+    #[inline]
     pub fn home_of(&self, page: PageId) -> NodeId {
-        let st = self.state.lock();
-        *st.page_homes
+        *self
+            .homes
             .get(page.index())
             .unwrap_or_else(|| panic!("page {page:?} was never allocated"))
     }
@@ -223,7 +232,7 @@ impl IsoAllocator {
 
     /// Number of pages allocated so far (including the reserved page 0).
     pub fn num_pages(&self) -> usize {
-        self.state.lock().page_homes.len()
+        self.homes.len()
     }
 
     /// Total slots handed out so far.
@@ -233,7 +242,7 @@ impl IsoAllocator {
 
     /// Snapshot of every page's home node, indexed by page id.
     pub fn page_homes(&self) -> Vec<NodeId> {
-        self.state.lock().page_homes.clone()
+        self.homes.iter().map(|(_, &home)| home).collect()
     }
 }
 

@@ -18,6 +18,9 @@
 //! * [`iso`] — iso-address allocation: every node sees every object at the
 //!   same global address, so references remain valid wherever the object is
 //!   replicated (§3.1 of the paper).
+//! * [`segtable`] — [`SegmentTable`], the append-only table whose entries
+//!   never move: lock-free lookups handing out plain references (page
+//!   homes here, page frames in the DSM layer).
 //! * [`threads`] — thread identity and per-node thread registry (the paper's
 //!   "threads subsystem"; actual scheduling uses native OS threads).
 //! * [`transport`] / [`socket`] — the pluggable transport layer: the
@@ -42,6 +45,7 @@ pub mod comm;
 pub mod fault;
 pub mod iso;
 pub mod node;
+pub mod segtable;
 pub mod socket;
 pub mod threads;
 pub mod topology;
@@ -52,6 +56,7 @@ pub use comm::{RpcHandler, RpcReply, ServiceId};
 pub use fault::{FaultKill, FaultSpec, FaultyTransport, RetryPolicy};
 pub use iso::{GlobalAddr, IsoAllocator, PageId, PAGE_BYTES, SLOTS_PER_PAGE, SLOT_BYTES};
 pub use node::{Node, NodeId};
+pub use segtable::SegmentTable;
 pub use socket::SocketTransport;
 pub use threads::{ThreadId, ThreadRegistry};
 pub use topology::Topology;
